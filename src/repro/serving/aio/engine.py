@@ -2,8 +2,10 @@
 
 ``AsyncServingEngine`` keeps every layer of the threaded
 :class:`~repro.serving.engine.ServingEngine` — admission, bulkheads,
-cache tiers, deadlines, hedging, journal, traces, metrics — and rebuilds
-the hot path on asyncio:
+cache tiers, deadlines, hedging, journal, traces, metrics — and its
+request lifecycle: the same ``_admit`` and ``_probe`` open a request and
+the same ``_settle`` records every outcome.  It rebuilds the hot path
+around them on asyncio:
 
 1. **Registration phase** (event-loop thread, workload order): every
    request runs its synchronous prologue — bulkhead acquire, admission,
@@ -42,51 +44,20 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from repro.core.pipeline import PipelineResult
 from repro.datasets.types import Example
-from repro.observability.context import add_event
-from repro.observability.trace import Trace
-from repro.reliability.deadline import Deadline
 from repro.reliability.faults import BudgetExceededError, CircuitOpenError
-from repro.caching import normalize_question, result_cache_key
 from repro.serving.admission import AdmissionError
-from repro.serving.bulkhead import (
-    BulkheadFullError,
-    DbCircuitOpenError,
-    QuarantinedError,
-)
-from repro.serving.engine import ServingEngine
+from repro.serving.engine import ServingEngine, _Ctx
 from repro.serving.stats import ServingStats
 from repro.serving.aio.batcher import BatchingLLM, MicroBatcher
 from repro.serving.aio.singleflight import RUN_SELF, SingleFlight
 from repro.serving.aio.stats import AsyncServingStats
 
 __all__ = ["AsyncServingEngine"]
-
-
-class _Ctx:
-    """Per-request registration outcome carried into the async phase."""
-
-    __slots__ = (
-        "example", "seq", "start", "budget", "key", "trace",
-        "role", "flight", "result", "deadline",
-    )
-
-    def __init__(self, example):
-        self.example = example
-        self.seq = None
-        self.start = 0.0
-        self.budget = None
-        self.key = None
-        self.trace = None
-        self.role = None  # "lead" | "follow" | "cached"
-        self.flight = None
-        self.result = None
-        self.deadline = None
 
 
 class AsyncServingEngine(ServingEngine):
@@ -120,7 +91,6 @@ class AsyncServingEngine(ServingEngine):
         pipeline.wrap_llms(lambda llm: BatchingLLM(llm, self.batcher))
         super().__init__(pipeline, *args, **kwargs)
         self.singleflight = SingleFlight()
-        self._async_lock = threading.Lock()
         # Pipeline runs need one thread each for the batcher's barrier to
         # see the whole cohort; admission's queue_capacity bounds how many
         # can be in flight, so size the pool to it.
@@ -213,59 +183,14 @@ class AsyncServingEngine(ServingEngine):
     def _register(
         self, example: Example, deadline_seconds: Optional[float] = None
     ) -> _Ctx:
-        """The synchronous prologue: gates, journal accept, dedup role."""
-        if self._closed:
-            raise RuntimeError("engine is shut down")
-        ctx = _Ctx(example)
-        bh_key = (example.db_id, normalize_question(example.question))
-        try:
-            self.bulkheads.acquire(example.db_id, bh_key, block=False)
-        except (BulkheadFullError, DbCircuitOpenError, QuarantinedError) as exc:
-            if self.metrics is not None:
-                channel = {
-                    BulkheadFullError: "full",
-                    DbCircuitOpenError: "open",
-                    QuarantinedError: "quarantined",
-                }[type(exc)]
-                self._m_bulkhead_rejections.labels(channel=channel).inc()
-            raise
-        try:
-            self.admission.admit(block=False)
-        except BaseException:
-            self.bulkheads.release(example.db_id)
-            raise
-        with self._stats_lock:
-            if self._started_at is None:
-                self._started_at = self._clock()
-        if self.journal is not None:
-            ctx.seq = self.journal.accept(example)
-        ctx.start = self._clock()
-        ctx.budget = (
-            deadline_seconds
-            if deadline_seconds is not None
-            else self.deadline_seconds
-        )
-        ctx.key = result_cache_key(example, self.pipeline)
-        if self.tracing:
-            ctx.trace = Trace(question_id=example.question_id, db_id=example.db_id)
-        cached = self.result_cache.get(ctx.key)
+        """The synchronous prologue: admission, result probe, dedup role."""
+        ctx = self._admit(example, block=False, deadline_seconds=deadline_seconds)
+        cached = self._probe(ctx)
         if cached is not None:
             ctx.role = "cached"
-            ctx.result = cached
-            if ctx.trace is not None:
-                ctx.trace.root.cache = "hit"
-                ctx.trace.root.event("result_cache", outcome="hit")
-                self._store_trace(ctx.trace.finish())
-            self.bulkheads.record_success(example.db_id, bh_key)
-            if self.journal is not None and ctx.seq is not None:
-                self.journal.commit(ctx.seq, "cached")
-            self._record(example, "cached", ctx.start, model_seconds=0.0)
-            self.bulkheads.release(example.db_id)
-            self.admission.release()
+            ctx.result = self._settle(ctx, "cached", cached)
+            self._release(ctx)
             return ctx
-        if ctx.trace is not None:
-            ctx.trace.root.cache = "miss"
-            ctx.trace.root.event("result_cache", outcome="miss")
         ctx.flight, leader = self.singleflight.begin(ctx.key)
         ctx.role = "lead" if leader else "follow"
         return ctx
@@ -289,6 +214,8 @@ class AsyncServingEngine(ServingEngine):
             # mark retrieved so a follower-less flight does not warn
             _ = flight.future.exception()
             raise
+        finally:
+            self._release(ctx)
         self.singleflight.finish(flight)
         # A deadline-truncated answer is a degraded stand-in — never
         # shared, mirroring the result-cache rule.  A doomed flight
@@ -301,144 +228,44 @@ class AsyncServingEngine(ServingEngine):
         return result
 
     async def _follow(self, ctx: _Ctx) -> PipelineResult:
-        example, flight = ctx.example, ctx.flight
-        bh_key = (example.db_id, normalize_question(example.question))
         try:
             try:
-                outcome = await asyncio.shield(flight.future)
-            except asyncio.CancelledError:
-                # Our task was cancelled (or the leader was): no commit —
-                # the seq stays pending and recovery completes it.
-                raise
+                # A cancelled follower (or leader) commits nothing: the
+                # seq stays pending and recovery completes it.
+                outcome = await asyncio.shield(ctx.flight.future)
             except Exception as exc:
                 # The leader failed; this request fails identically, and
                 # a fresh recovery re-runs it to the same typed error.
-                error = f"{type(exc).__name__}: {exc}"
-                self.admission.record_failure()
-                self.health.record("pipeline", False, detail=error)
-                if self.bulkheads.record_crash(example.db_id, bh_key):
-                    add_event(
-                        "quarantine",
-                        db_id=example.db_id,
-                        question_id=example.question_id,
-                    )
-                    if self.metrics is not None:
-                        self._m_quarantine.inc()
-                if self.journal is not None and ctx.seq is not None:
-                    self.journal.commit(ctx.seq, "failed", error=error)
-                if ctx.trace is not None:
-                    ctx.trace.root.status = "failed"
-                    ctx.trace.root.event("request_failed", error=str(exc))
-                    self._store_trace(ctx.trace.finish())
-                self._record(example, "failed", ctx.start, error=str(exc))
+                self._settle(ctx, "failed", exc)
                 raise
             if outcome is RUN_SELF:
-                # Fail-open: the leader's answer was deadline-truncated.
+                # Fail-open: the leader's answer may not be shared.
                 self.batcher.expect(1)
                 return await self._serve_fresh(ctx)
-            if ctx.trace is not None:
-                ctx.trace.root.cache = "coalesced"
-                ctx.trace.root.event(
-                    "single_flight", outcome="coalesced", key=str(ctx.key)
-                )
-                self._store_trace(ctx.trace.finish())
-            self.bulkheads.record_success(example.db_id, bh_key)
-            if self.journal is not None and ctx.seq is not None:
-                self.journal.commit(ctx.seq, "coalesced")
-            self._record(example, "coalesced", ctx.start, model_seconds=0.0)
+            self._settle(ctx, "coalesced", outcome)
             if self.metrics is not None:
                 self._m_coalesced.inc()
             return outcome
         finally:
-            self.bulkheads.release(example.db_id)
-            self.admission.release()
+            self._release(ctx)
 
     async def _serve_fresh(self, ctx: _Ctx) -> PipelineResult:
-        """Run the pipeline off-loop with full threaded-path bookkeeping."""
-        example = ctx.example
-        bh_key = (example.db_id, normalize_question(example.question))
-        release = ctx.role == "lead"  # fail-open followers release in _follow
-        try:
-            try:
-                result = await self._offload(ctx)
-            except Exception as exc:
-                self.admission.record_failure()
-                self.health.record("pipeline", False, detail=str(exc))
-                if self.bulkheads.record_crash(example.db_id, bh_key):
-                    add_event(
-                        "quarantine",
-                        db_id=example.db_id,
-                        question_id=example.question_id,
-                    )
-                    if self.metrics is not None:
-                        self._m_quarantine.inc()
-                if self.journal is not None and ctx.seq is not None:
-                    self.journal.commit(
-                        ctx.seq, "failed", error=f"{type(exc).__name__}: {exc}"
-                    )
-                if ctx.trace is not None:
-                    ctx.trace.root.status = "failed"
-                    ctx.trace.root.event("request_failed", error=str(exc))
-                    self._store_trace(ctx.trace.finish(deadline=ctx.deadline))
-                self._record(example, "failed", ctx.start, error=str(exc))
-                raise
-            if ctx.trace is not None:
-                # pipeline.answer already finished the root with totals
-                self._store_trace(ctx.trace)
-            self.admission.record_success()
-            self.health.record("pipeline", True)
-            self.bulkheads.record_success(example.db_id, bh_key)
-            exceeded = result.deadline_exceeded
-            self.health.record("deadline", not exceeded)
-            if not exceeded:
-                if self.epochs is not None:
-                    # a stale retry (or doomed re-run) may have crossed an
-                    # epoch bump; re-derive the key so the entry lands
-                    # under the catalog that produced it
-                    ctx.key = result_cache_key(example, self.pipeline)
-                self.result_cache.put(ctx.key, result)
-            if self.journal is not None and ctx.seq is not None:
-                self.journal.commit(ctx.seq, "ok", result=result)
-            routing = getattr(result, "routing", None)
-            if self.metrics is not None and routing is not None:
-                self._m_tier.labels(tier=routing.final_tier).inc()
-                for event in routing.escalations:
-                    self._m_escalations.labels(reason=event.reason).inc()
-                for attempt in routing.attempts:
-                    self._m_tier_tokens.labels(tier=attempt.tier).inc(attempt.tokens)
-            self._record(
-                example,
-                "ok",
-                ctx.start,
-                model_seconds=result.cost.total_model_seconds,
-                deadline_exceeded=exceeded,
-            )
-            return result
-        finally:
-            if release:
-                self.bulkheads.release(example.db_id)
-                self.admission.release()
+        """Run the pipeline on the run pool as a batcher runner, then settle."""
 
-    async def _offload(self, ctx: _Ctx) -> PipelineResult:
-        """Run ``pipeline.answer`` on the run pool as a batcher runner."""
-        loop = asyncio.get_running_loop()
-
-        def run() -> PipelineResult:
+        def runner() -> PipelineResult:
             self.batcher.runner_begun()
             try:
-                ctx.deadline = (
-                    Deadline(ctx.budget, clock=self._clock)
-                    if ctx.budget is not None
-                    else None
-                )
-                # _answer_guarded pins the catalog epoch on this pool
-                # thread and handles the one bounded stale retry; with no
-                # live-data registry attached it is a plain answer().
-                return self._answer_guarded(ctx.example, ctx.deadline, ctx.trace)
+                return self._run_pipeline(ctx)
             finally:
                 self.batcher.runner_finished()
 
-        return await loop.run_in_executor(self._run_pool, run)
+        loop = asyncio.get_running_loop()
+        try:
+            result = await loop.run_in_executor(self._run_pool, runner)
+        except Exception as exc:
+            self._settle(ctx, "failed", exc)
+            raise
+        return self._settle(ctx, "ok", result)
 
     # ----------------------------------------------------------- plumbing
 

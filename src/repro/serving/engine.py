@@ -67,6 +67,29 @@ from repro.serving.stats import RequestRecord, ServingStats
 __all__ = ["ServingEngine", "CachingExtractor", "CachingFewShotLibrary"]
 
 
+class _Ctx:
+    """One request's record, from ``_admit`` to ``_settle``."""
+
+    __slots__ = (
+        "example", "seq", "start", "budget", "key", "qkey", "trace",
+        "deadline", "role", "flight", "result",
+    )
+
+    def __init__(self, example):
+        self.example = example
+        self.seq = None
+        self.start = 0.0
+        self.budget = None
+        self.key = None  # result-cache key (may carry a tier and an epoch)
+        # quarantine key: (db_id, normalized question) on every engine
+        self.qkey = (example.db_id, normalize_question(example.question))
+        self.trace = None
+        self.deadline = None
+        self.role = None  # async only: "lead" | "follow" | "cached"
+        self.flight = None
+        self.result = None
+
+
 class CachingExtractor:
     """Extraction-tier cache: wraps an Extractor, memoizing ``run``.
 
@@ -470,38 +493,11 @@ class ServingEngine:
         coordinator forwards the *remaining* end-to-end budget after
         queue time).
         """
-        if self._closed:
-            raise RuntimeError("engine is shut down")
-        key = (example.db_id, normalize_question(example.question))
-        # The bulkhead gate runs first: a quarantined key or a saturated
-        # database must not consume a shared queue slot (or count as
-        # admitted) before being turned away.
+        ctx = self._admit(example, block, seq, deadline_seconds)
         try:
-            self.bulkheads.acquire(example.db_id, key, block=block)
-        except (BulkheadFullError, DbCircuitOpenError, QuarantinedError) as exc:
-            if self.metrics is not None:
-                channel = {
-                    BulkheadFullError: "full",
-                    DbCircuitOpenError: "open",
-                    QuarantinedError: "quarantined",
-                }[type(exc)]
-                self._m_bulkhead_rejections.labels(channel=channel).inc()
-            raise
-        try:
-            self.admission.admit(block=block)
+            return self._pool.submit(self._handle, example, ctx)
         except BaseException:
-            self.bulkheads.release(example.db_id)
-            raise
-        with self._stats_lock:
-            if self._started_at is None:
-                self._started_at = self._clock()
-        if self.journal is not None:
-            seq = self.journal.accept(example, seq=seq)
-        try:
-            return self._pool.submit(self._handle, example, seq, deadline_seconds)
-        except BaseException:
-            self.admission.release()
-            self.bulkheads.release(example.db_id)
+            self._release(ctx)
             raise
 
     def answer(self, example: Example) -> PipelineResult:
@@ -533,105 +529,165 @@ class ServingEngine:
                 results.append(None)
         return results
 
-    # ------------------------------------------------------------- handler
+    # ----------------------------------------------------------- lifecycle
+    #
+    # Every request on either engine runs _admit -> _probe -> the pipeline
+    # (or, on the async engine, a single-flight leader's answer) ->
+    # _settle -> _release.  Only the middle step differs between engines.
 
-    def _handle(
+    def _admit(
         self,
         example: Example,
+        block: bool,
         seq: Optional[int] = None,
         deadline_seconds: Optional[float] = None,
-    ) -> PipelineResult:
-        start = self._clock()
-        budget = (
+    ) -> _Ctx:
+        """Gate one request in and journal its acceptance.
+
+        The bulkhead gate runs first: a quarantined key or a saturated
+        database must not consume a shared queue slot (or count as
+        admitted) before being turned away.  An admitted request holds a
+        bulkhead slot and an admission slot until :meth:`_release`.
+        """
+        if self._closed:
+            raise RuntimeError("engine is shut down")
+        ctx = _Ctx(example)
+        try:
+            self.bulkheads.acquire(example.db_id, ctx.qkey, block=block)
+        except (BulkheadFullError, DbCircuitOpenError, QuarantinedError) as exc:
+            if self.metrics is not None:
+                channel = {
+                    BulkheadFullError: "full",
+                    DbCircuitOpenError: "open",
+                    QuarantinedError: "quarantined",
+                }[type(exc)]
+                self._m_bulkhead_rejections.labels(channel=channel).inc()
+            raise
+        try:
+            self.admission.admit(block=block)
+        except BaseException:
+            self.bulkheads.release(example.db_id)
+            raise
+        with self._stats_lock:
+            if self._started_at is None:
+                self._started_at = self._clock()
+        if self.journal is not None:
+            ctx.seq = self.journal.accept(example, seq=seq)
+        ctx.budget = (
             deadline_seconds if deadline_seconds is not None else self.deadline_seconds
         )
-        key = result_cache_key(example, self.pipeline)
-        trace = (
-            Trace(question_id=example.question_id, db_id=example.db_id)
-            if self.tracing
-            else None
-        )
+        return ctx
+
+    def _probe(self, ctx: _Ctx) -> Optional[PipelineResult]:
+        """Start the request's clock and trace, then look up the result tier."""
+        example = ctx.example
+        ctx.start = self._clock()
+        ctx.key = result_cache_key(example, self.pipeline)
+        if self.tracing:
+            ctx.trace = Trace(question_id=example.question_id, db_id=example.db_id)
+        cached = self.result_cache.get(ctx.key)
+        if ctx.trace is not None:
+            outcome = "miss" if cached is None else "hit"
+            ctx.trace.root.cache = outcome
+            ctx.trace.root.event("result_cache", outcome=outcome)
+        return cached
+
+    def _handle(self, example: Example, ctx: _Ctx) -> PipelineResult:
+        """Serve one admitted request on a pool thread.
+
+        ``example`` is ``ctx.example``, passed first so that whatever wraps
+        this entry point can tie the pool thread's work to the request.
+        """
         try:
-            cached = self.result_cache.get(key)
+            cached = self._probe(ctx)
             if cached is not None:
-                if trace is not None:
-                    trace.root.cache = "hit"
-                    trace.root.event("result_cache", outcome="hit")
-                    self._store_trace(trace.finish())
-                self.bulkheads.record_success(example.db_id, key)
-                if self.journal is not None and seq is not None:
-                    self.journal.commit(seq, "cached")
-                self._record(example, "cached", start, model_seconds=0.0)
-                return cached
-            if trace is not None:
-                trace.root.cache = "miss"
-                trace.root.event("result_cache", outcome="miss")
-            deadline = (
-                Deadline(budget, clock=self._clock) if budget is not None else None
-            )
+                return self._settle(ctx, "cached", cached)
             try:
-                result = self._answer_guarded(example, deadline, trace)
+                result = self._run_pipeline(ctx)
             except Exception as exc:
-                self.admission.record_failure()
-                self.health.record("pipeline", False, detail=str(exc))
-                if self.bulkheads.record_crash(example.db_id, key):
-                    add_event(
-                        "quarantine",
-                        db_id=example.db_id,
-                        question_id=example.question_id,
-                    )
-                    if self.metrics is not None:
-                        self._m_quarantine.inc()
-                if self.journal is not None and seq is not None:
-                    self.journal.commit(
-                        seq, "failed", error=f"{type(exc).__name__}: {exc}"
-                    )
-                if trace is not None:
-                    trace.root.status = "failed"
-                    trace.root.event("request_failed", error=str(exc))
-                    self._store_trace(trace.finish(deadline=deadline))
-                self._record(example, "failed", start, error=str(exc))
+                self._settle(ctx, "failed", exc)
                 raise
+            return self._settle(ctx, "ok", result)
+        finally:
+            self._release(ctx)
+
+    def _run_pipeline(self, ctx: _Ctx) -> PipelineResult:
+        """Answer a result-tier miss under the request's deadline."""
+        if ctx.budget is not None:
+            ctx.deadline = Deadline(ctx.budget, clock=self._clock)
+        return self._answer_guarded(ctx.example, ctx.deadline, ctx.trace)
+
+    def _settle(self, ctx: _Ctx, status: str, outcome):
+        """Record one request's terminal outcome; returns ``outcome``.
+
+        ``status`` is ``"cached"``, ``"coalesced"`` or ``"ok"`` with the
+        answer as ``outcome``, or ``"failed"`` with the exception.  This is
+        the only place that feeds the engine breaker and health, the
+        bulkhead's breaker and quarantine strikes (always under
+        ``ctx.qkey``, whatever the result-cache key carries), the result
+        tier, the journal commit, the trace, the routing metrics and the
+        request record.
+        """
+        example, trace = ctx.example, ctx.trace
+        result = error = journal_error = None
+        model_seconds, exceeded = 0.0, False
+        if status == "failed":
+            error = str(outcome)
+            journal_error = f"{type(outcome).__name__}: {outcome}"
+            self.admission.record_failure()
+            self.health.record("pipeline", False, detail=error)
+            if self.bulkheads.record_crash(example.db_id, ctx.qkey):
+                add_event(
+                    "quarantine", db_id=example.db_id, question_id=example.question_id
+                )
+                if self.metrics is not None:
+                    self._m_quarantine.inc()
             if trace is not None:
-                # pipeline.answer already finished the root with totals
-                self._store_trace(trace)
+                trace.root.status = "failed"
+                trace.root.event("request_failed", error=error)
+        else:
+            result = outcome
+            self.bulkheads.record_success(example.db_id, ctx.qkey)
+        if status == "ok":
+            model_seconds = result.cost.total_model_seconds
+            exceeded = result.deadline_exceeded
             self.admission.record_success()
             self.health.record("pipeline", True)
-            self.bulkheads.record_success(example.db_id, key)
-            exceeded = result.deadline_exceeded
             self.health.record("deadline", not exceeded)
             if not exceeded:
                 # a deadline-truncated answer is a degraded stand-in;
                 # caching it would keep serving the degradation after
                 # load subsides
                 if self.epochs is not None:
-                    # a stale retry moved the epoch mid-request; re-derive
-                    # the key so the entry lands under the catalog that
-                    # actually produced it
-                    key = result_cache_key(example, self.pipeline)
-                self.result_cache.put(key, result)
-            if self.journal is not None and seq is not None:
-                self.journal.commit(seq, "ok", result=result)
+                    # a stale retry (or a doomed flight's re-run) may have
+                    # moved the epoch mid-request; re-derive the key so the
+                    # entry lands under the catalog that produced it
+                    ctx.key = result_cache_key(example, self.pipeline)
+                self.result_cache.put(ctx.key, result)
             routing = getattr(result, "routing", None)
             if self.metrics is not None and routing is not None:
                 self._m_tier.labels(tier=routing.final_tier).inc()
                 for event in routing.escalations:
                     self._m_escalations.labels(reason=event.reason).inc()
                 for attempt in routing.attempts:
-                    self._m_tier_tokens.labels(tier=attempt.tier).inc(
-                        attempt.tokens
-                    )
-            self._record(
-                example,
-                "ok",
-                start,
-                model_seconds=result.cost.total_model_seconds,
-                deadline_exceeded=exceeded,
-            )
-            return result
-        finally:
-            self.bulkheads.release(example.db_id)
-            self.admission.release()
+                    self._m_tier_tokens.labels(tier=attempt.tier).inc(attempt.tokens)
+        elif status == "coalesced" and trace is not None:
+            trace.root.cache = "coalesced"
+            trace.root.event("single_flight", outcome="coalesced", key=str(ctx.key))
+        if self.journal is not None and ctx.seq is not None:
+            self.journal.commit(ctx.seq, status, result=result, error=journal_error)
+        if trace is not None:
+            if status != "ok":
+                # an answered request's root was finished by pipeline.answer
+                trace.finish(deadline=ctx.deadline)
+            self._store_trace(trace)
+        self._record(ctx, status, model_seconds, error, exceeded)
+        return outcome
+
+    def _release(self, ctx: _Ctx) -> None:
+        """Return the bulkhead and admission slots ``_admit`` claimed."""
+        self.bulkheads.release(ctx.example.db_id)
+        self.admission.release()
 
     def _answer_guarded(
         self,
@@ -689,19 +745,17 @@ class ServingEngine:
 
     def _record(
         self,
-        example: Example,
+        ctx: _Ctx,
         status: str,
-        start: float,
-        model_seconds: float = 0.0,
-        error: Optional[str] = None,
-        deadline_exceeded: bool = False,
+        model_seconds: float,
+        error: Optional[str],
+        deadline_exceeded: bool,
     ) -> None:
-        wall = self._clock() - start
         record = RequestRecord(
-            question_id=example.question_id,
-            db_id=example.db_id,
+            question_id=ctx.example.question_id,
+            db_id=ctx.example.db_id,
             status=status,
-            wall_seconds=wall,
+            wall_seconds=self._clock() - ctx.start,
             model_seconds=model_seconds,
             error=error,
             deadline_exceeded=deadline_exceeded,
