@@ -43,7 +43,6 @@ from repro.storage.crashfuzz import CrashFuzzConfig, run_crash_fuzz
 SMOKE = bool(int(os.environ.get("REPRO_SERVING_SMOKE", "0")))
 REQUESTS = 8 if SMOKE else 12
 DISTINCT = 4 if SMOKE else 6
-LIMIT = 8 if SMOKE else None
 BITFLIPS = 2 if SMOKE else 4
 
 
@@ -56,7 +55,6 @@ def _config():
         candidates=3,
         routing=True,
         bitflips=BITFLIPS,
-        limit=LIMIT,
     )
 
 

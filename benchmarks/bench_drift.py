@@ -37,7 +37,6 @@ SMOKE = bool(int(os.environ.get("REPRO_SERVING_SMOKE", "0")))
 REQUESTS = 6 if SMOKE else 10
 DISTINCT = 4 if SMOKE else 5
 MUTATE_EVERY = 2 if SMOKE else 1
-LIMIT = 4 if SMOKE else None
 
 
 def _config():
@@ -48,7 +47,6 @@ def _config():
         candidates=3,
         routing=True,
         mutate_every=MUTATE_EVERY,
-        limit=LIMIT,
     )
 
 

@@ -240,9 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     cf.add_argument("--distinct", type=int, default=6, metavar="N",
                     help="distinct questions, spread across databases "
                          "(default: 6)")
-    cf.add_argument("--limit", type=int, default=0, metavar="N",
-                    help="fuzz only the first N clean and N torn cut "
-                         "points (0 = every append boundary)")
     cf.add_argument("--bitflips", type=int, default=3, metavar="N",
                     help="seeded single-bit corruption trials on the "
                          "completed run (default: 3)")
@@ -272,9 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     df.add_argument("--mutate-every", type=int, default=1, metavar="N",
                     help="apply one mutation after every N served "
                          "requests (default: 1)")
-    df.add_argument("--limit", type=int, default=0, metavar="N",
-                    help="fuzz only the first N clean and N torn cut "
-                         "points (0 = every checkpoint append boundary)")
     df.add_argument("--no-torn", action="store_true",
                     help="skip torn (mid-append) cut variants")
     df.add_argument("--no-routing", action="store_true",
@@ -514,27 +508,18 @@ def _select_pool(dev, distinct: int, mode: str):
 
     ``prefix`` keeps the historical behaviour (first N dev examples —
     the dev split is grouped by database, so small N means one db).
-    ``spread`` deals one example per database round-robin, in the dev
-    split's first-appearance order, so N questions span min(N, #dbs)
+    ``spread`` is :func:`~repro.serving.workload.spread_pool`: one
+    example per database round-robin, so N questions span min(N, #dbs)
     databases.  Both are pure functions of (dev, distinct, mode): the
     journal header records the mode and ``repro recover`` rebuilds the
     identical pool.
     """
+    from repro.serving.workload import spread_pool
+
     if not distinct:
         return dev
     if mode == "spread":
-        by_db: dict = {}
-        for example in dev:
-            by_db.setdefault(example.db_id, []).append(example)
-        queues = list(by_db.values())
-        pool = []
-        index = 0
-        while len(pool) < distinct and any(queues):
-            queue = queues[index % len(queues)]
-            if queue:
-                pool.append(queue.pop(0))
-            index += 1
-        return pool
+        return spread_pool(dev, distinct)
     return dev[:distinct]
 
 
@@ -1170,7 +1155,6 @@ def _cmd_crash_fuzz(args, out) -> int:
         routing=not args.no_routing,
         torn=not args.no_torn,
         bitflips=args.bitflips,
-        limit=args.limit or None,
     )
     with tempfile.TemporaryDirectory(prefix="repro-crashfuzz-") as workdir:
         result = run_crash_fuzz(config, workdir)
@@ -1205,7 +1189,6 @@ def _cmd_drift_fuzz(args, out) -> int:
         candidates=args.candidates,
         routing=not args.no_routing,
         mutate_every=args.mutate_every,
-        limit=args.limit or None,
         torn=not args.no_torn,
     )
     with tempfile.TemporaryDirectory(prefix="repro-driftfuzz-") as workdir:

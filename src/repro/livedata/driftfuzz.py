@@ -15,14 +15,16 @@ certifies the three invariants the live-mutation world promises:
 2. **Zero double-reindexes.**  The reindex checkpoint must carry exactly
    one ``done`` record per ``(db_id, epoch)``.
 3. **Byte-identical kill/resume.**  One more mutation is applied and
-   reindexed through a recording opener (logging the checkpoint's byte
-   length after every append); then simulated SIGKILLs are enumerated —
-   a *clean* cut after each append, and a *torn* cut mid-way through
-   the next line — and a fresh worker resumes each truncated
-   checkpoint.  Every resume must leave the file byte-identical to the
-   uninterrupted reference (and a cut at the very end must produce the
-   typed :class:`~repro.livedata.reindex.DoubleReindexError`, not a
-   second pass).
+   reindexed through crash-fuzz's
+   :class:`~repro.storage.crashfuzz.RecordingOpener` (logging the
+   checkpoint's byte length after every append); then simulated SIGKILLs
+   are enumerated with its ``cuts()`` — a *clean* cut after each append,
+   and a *torn* cut mid-way through the next line — and a fresh worker
+   resumes each truncated checkpoint.  Every resume must leave the file
+   byte-identical to the uninterrupted reference (and a cut at the very
+   end must produce the typed
+   :class:`~repro.livedata.reindex.DoubleReindexError`, not a second
+   pass).
 
 Everything — workload, mutation schedule, embeddings, cut points — is
 seeded, so two runs of the same config produce byte-identical outcome
@@ -34,11 +36,12 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from repro.livedata.epoch import EpochRegistry
 from repro.livedata.mutations import MutationDriver
 from repro.livedata.reindex import DoubleReindexError, ReindexWorker
+from repro.storage.crashfuzz import RecordingOpener, build_campaign
 
 __all__ = ["DriftFuzzConfig", "DriftOutcome", "DriftFuzzResult", "run_drift_fuzz"]
 
@@ -55,9 +58,6 @@ class DriftFuzzConfig:
     benchmark: str = "cluster-smoke"
     #: apply one mutation after every N served requests
     mutate_every: int = 1
-    #: bound the kill/resume cut enumeration to the first N boundaries
-    #: (None = every checkpoint append boundary)
-    limit: Optional[int] = None
     #: include torn (mid-line) cut variants
     torn: bool = True
 
@@ -155,73 +155,6 @@ class DriftFuzzResult:
         )
 
 
-class _RecordingOpener:
-    """Append-mode opener logging each write's byte length per file."""
-
-    def __init__(self):
-        #: (size_after_append, nbytes) in append order for the one path
-        self.log: list[tuple[int, int]] = []
-        self._size = 0
-
-    def __call__(self, path, mode: str):
-        outer = self
-
-        class _File:
-            def __init__(self):
-                self._handle = open(path, mode, encoding="utf-8")
-
-            def write(self, data: str) -> int:
-                written = self._handle.write(data)
-                outer._size += len(data.encode("utf-8"))
-                outer.log.append((outer._size, len(data.encode("utf-8"))))
-                return written
-
-            def flush(self):
-                self._handle.flush()
-
-            def fileno(self):
-                return self._handle.fileno()
-
-            def close(self):
-                self._handle.close()
-
-        return _File()
-
-
-def _build(config: DriftFuzzConfig):
-    """(workload, pipeline, benchmark) for the campaign."""
-    from repro.serving.cluster.config import ClusterConfig, build_worker_pipeline
-    from repro.serving.workload import zipf_workload
-
-    routing_config: dict = {}
-    if config.routing:
-        from repro.routing import RoutingConfig
-
-        routing_config = RoutingConfig().to_dict()
-    cluster = ClusterConfig(
-        shards=1,
-        benchmark=config.benchmark,
-        candidates=config.candidates,
-        seed=config.seed,
-        journal_dir="unused",
-        routing=config.routing,
-        routing_config=routing_config,
-    )
-    benchmark, pipeline = build_worker_pipeline(cluster)
-    by_db: dict = {}
-    for example in benchmark.dev:
-        by_db.setdefault(example.db_id, []).append(example)
-    queues = list(by_db.values())
-    pool, index = [], 0
-    while len(pool) < config.distinct and any(queues):
-        queue = queues[index % len(queues)]
-        if queue:
-            pool.append(queue.pop(0))
-        index += 1
-    workload = zipf_workload(pool, requests=config.requests, seed=config.seed)
-    return workload, pipeline, benchmark
-
-
 def run_drift_fuzz(
     config: DriftFuzzConfig, workdir: Union[str, Path]
 ) -> DriftFuzzResult:
@@ -231,9 +164,9 @@ def run_drift_fuzz(
 
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    workload, pipeline, benchmark = _build(config)
+    workload, pipeline, _cluster = build_campaign(config)
     registry = EpochRegistry()
-    driver = MutationDriver(benchmark, registry, seed=config.seed)
+    driver = MutationDriver(pipeline.benchmark, registry, seed=config.seed)
     result = DriftFuzzResult()
 
     # ------------------------------------------------ phase 1: serve+drift
@@ -282,58 +215,36 @@ def run_drift_fuzz(
     event = driver.mutate()
     engine.invalidate_db(event.db_id)
     result.mutations = driver.log_dict()
-    recording = _RecordingOpener()
+    recording = RecordingOpener()
     ref_path = workdir / "reindex-ref.jsonl"
     ref_worker = ReindexWorker(
         pipeline, ref_path, opener=recording, registry=registry
     )
     ref_report = ref_worker.reindex(event.db_id, epoch=event.epoch)
-    ref_worker.close()
     result.reindexes.append(ref_report.to_dict())
     result.catchup_seconds += ref_report.catchup_seconds
     ref_bytes = ref_path.read_bytes()
     result.cut_points = len(recording.log)
     result.checkpoint_crc = zlib.crc32(ref_bytes) & 0xFFFFFFFF
 
-    def run_cut(cut_id: str, kind: str, length: int) -> None:
+    for cut_id, kind, lengths in recording.cuts(config.torn):
         cut_path = workdir / f"cut-{cut_id}.jsonl"
-        cut_path.write_bytes(ref_bytes[:length])
+        cut_path.write_bytes(ref_bytes[: lengths.get(ref_path.name, 0)])
         entry = DriftOutcome(cut=cut_id, kind=kind, outcome="traceback")
         try:
-            cut_worker = ReindexWorker(
-                pipeline, cut_path, registry=registry
-            )
+            finished = "identical"
             try:
-                cut_worker.reindex(event.db_id, epoch=event.epoch)
-                entry.outcome = (
-                    "identical"
-                    if cut_path.read_bytes() == ref_bytes
-                    else "diverged"
+                ReindexWorker(pipeline, cut_path, registry=registry).reindex(
+                    event.db_id, epoch=event.epoch
                 )
             except DoubleReindexError:
-                entry.outcome = (
-                    "already-done"
-                    if cut_path.read_bytes() == ref_bytes
-                    else "diverged"
-                )
-            finally:
-                cut_worker.close()
+                finished = "already-done"
+            entry.outcome = (
+                finished if cut_path.read_bytes() == ref_bytes else "diverged"
+            )
         except Exception as exc:  # noqa: BLE001 — the cert counts tracebacks
             entry.detail = f"{type(exc).__name__}: {exc}"
         entry.ok = entry.outcome in ("identical", "already-done")
         result.outcomes.append(entry)
         cut_path.unlink(missing_ok=True)
-
-    clean_ks = list(range(len(recording.log) + 1))
-    torn_ks = [k for k, (_size, nbytes) in enumerate(recording.log) if nbytes >= 2]
-    if config.limit is not None:
-        clean_ks = clean_ks[: config.limit] + clean_ks[-1:]
-        torn_ks = torn_ks[: config.limit]
-    for k in clean_ks:
-        length = recording.log[k - 1][0] if k > 0 else 0
-        run_cut(f"clean-{k:03d}", "clean", length)
-    if config.torn:
-        for k in torn_ks:
-            size_after, nbytes = recording.log[k]
-            run_cut(f"torn-{k:03d}", "torn", size_after - nbytes + nbytes // 2)
     return result

@@ -9,11 +9,11 @@ with the durability discipline of the serving journal:
 
 * **Checkpointed progress.**  Every completed unit of work (the schema/
   column pass, each table's value pass, the few-shot re-embed) appends a
-  CRC-framed v2 record (:func:`repro.storage.format.encode_record`) to a
-  checkpoint file opened through the same ``opener`` seam the journal
-  uses — so the storage chaos layer (:class:`~repro.storage.faults.
-  FaultyStorage`) can torture the write path, and every record is
-  fsynced before the worker moves on.
+  CRC-framed v2 record through the journal's writer
+  (:class:`repro.storage.format.AppendLog`), which opens the file through
+  the same ``opener`` seam — so the storage chaos layer
+  (:class:`~repro.storage.faults.FaultyStorage`) can torture the write
+  path — and every record is fsynced before the worker moves on.
 * **Resumable after SIGKILL.**  On restart the worker scans the
   checkpoint (torn tails truncated, interior damage refused), recomputes
   every unit *in memory* — the process that died took its indexes with
@@ -39,7 +39,6 @@ vector``, mirroring the repo's virtual-clock convention so the
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 from dataclasses import dataclass, field
@@ -47,11 +46,7 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from repro.livedata.errors import LiveDataError
-from repro.storage.format import (
-    JournalCorruptionError,
-    encode_record,
-    scan_file,
-)
+from repro.storage.format import JOURNAL_VERSION, AppendLog, JournalCorruptionError
 from repro.storage.faults import stable_hash
 
 __all__ = [
@@ -94,17 +89,17 @@ class ReindexCheckpoint:
         {"type": "done",  "db_id": D, "epoch": E, "vectors": N,
          "catchup_seconds": S}
 
-    ``load`` classifies damage with the journal's scanner: a torn tail
-    (the one shape SIGKILL-mid-append produces) is truncated away so the
-    next append lands on a clean line boundary; interior damage raises
-    :class:`~repro.storage.format.JournalCorruptionError`.
+    ``load`` applies the journal's load rule: a header newer than v2
+    raises :class:`~repro.storage.format.JournalVersionError`, and a torn
+    tail (the one shape SIGKILL-mid-append produces) is truncated away so
+    the next append lands on a clean line boundary.  Interior damage
+    raises :class:`~repro.storage.format.JournalCorruptionError`, even
+    when it hit the header line itself.
     """
 
-    def __init__(self, path: Union[str, Path], opener: Callable = open):
-        self.path = Path(path)
-        self._opener = opener
-        self._handle = None
-        self._rec = 0
+    def __init__(self, path: Union[str, Path], opener: Optional[Callable] = None):
+        self.log = AppendLog(path, opener=opener)
+        self.path = self.log.path
         #: (db_id, epoch) pairs with a start record
         self.started: set[tuple[str, int]] = set()
         #: (db_id, epoch, unit) triples with a unit record
@@ -121,18 +116,9 @@ class ReindexCheckpoint:
         self.units.clear()
         self.done.clear()
         self.duplicate_done.clear()
-        if not self.path.exists():
-            self._rec = 0
-            return
-        scan = scan_file(self.path)
+        scan = self.log.load()
         if scan.interior_issues:
             raise JournalCorruptionError(self.path, scan)
-        if scan.issues:
-            # torn tail: drop the half-written line so the resumed
-            # append stream stays byte-identical to an unbroken one
-            with open(self.path, "r+b") as handle:
-                handle.truncate(scan.good_bytes)
-        self._rec = scan.next_rec
         for record in scan.parsed:
             kind = record.get("type")
             if kind == "start":
@@ -148,22 +134,7 @@ class ReindexCheckpoint:
 
     def append(self, record: dict) -> None:
         """Frame, append and fsync one record."""
-        if self._handle is None:
-            self._handle = self._opener(self.path, "a")
-        line = encode_record(record, self._rec)
-        self._handle.write(line + "\n")
-        self._rec += 1
-        sync = getattr(self._handle, "sync", None)
-        if sync is not None:
-            sync()
-        else:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self.log.append(record, sync=True)
 
 
 @dataclass
@@ -195,7 +166,7 @@ class ReindexWorker:
         self,
         pipeline,
         checkpoint_path: Union[str, Path],
-        opener: Callable = open,
+        opener: Optional[Callable] = None,
         registry=None,
         health=None,
         seconds_per_vector: float = SECONDS_PER_VECTOR,
@@ -262,9 +233,10 @@ class ReindexWorker:
         tables = sorted(t.name for t in built.schema.tables)
         units = ["schema"] + [f"values:{t}" for t in tables] + ["fewshot"]
         report = ReindexReport(db_id=db_id, epoch=epoch, units=units)
-        if self.checkpoint._rec == 0:
+        if self.checkpoint.log.rec == 0:
             self.checkpoint.append(
-                {"type": "header", "version": 2, "config": {"kind": "reindex"}}
+                {"type": "header", "version": JOURNAL_VERSION,
+                 "config": {"kind": "reindex"}}
             )
         if (db_id, epoch) not in self.checkpoint.started:
             self.checkpoint.append(
@@ -419,10 +391,9 @@ class ReindexWorker:
         self._queue.put(None)
         self._thread.join(timeout=timeout)
 
-    def drain(self, timeout: float = 30.0) -> None:
+    def drain(self) -> None:
         """Block until every queued bump has been processed."""
         self._queue.join()
-        del timeout  # queue.join has no timeout; kept for API symmetry
 
     def _run(self) -> None:
         while True:
@@ -446,4 +417,3 @@ class ReindexWorker:
 
     def close(self) -> None:
         self.stop()
-        self.checkpoint.close()

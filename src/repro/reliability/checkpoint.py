@@ -7,18 +7,20 @@ from disk and continues with the rest, so an interrupted run reaches the
 identical final :class:`~repro.evaluation.runner.EvalReport` as an
 uninterrupted one.
 
-The format is append-only and crash-tolerant: a line truncated by a kill
-mid-write — at the tail or, after filesystem reordering, in the middle of
-the file — is skipped on load and its example simply re-runs.  The opt-in
-``fsync_every_n`` flag adds power-loss durability: every n appends the
-file is fsync'd, bounding how many records a power cut (which can drop
-data the OS already buffered) may lose.
+Every line carries the :mod:`repro.storage.format` CRC frame and is
+written by one :class:`~repro.storage.format.AppendLog`.  The file has no
+header, so the log keeps the tolerant policy: a damaged line — torn by a
+kill mid-write, or failing its CRC anywhere in the file — is skipped on
+load and its example simply re-runs; damage is never fatal.  A torn tail
+is also truncated on load, so the next record starts on a clean line.
+Bare unframed lines, written before the frame existed, still load.  The
+opt-in ``fsync_every_n`` flag adds power-loss durability: every n appends
+the file is fsync'd, bounding how many records a power cut (which can
+drop data the OS already buffered) may lose.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from dataclasses import asdict
 from pathlib import Path
@@ -27,6 +29,7 @@ from typing import TYPE_CHECKING, Optional, Union
 from repro.core.cost import CostTracker
 from repro.llm.base import TokenUsage
 from repro.reliability.degradation import DegradationEvent
+from repro.storage.format import AppendLog
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.evaluation
     from repro.evaluation.metrics import ExampleScore
@@ -92,39 +95,20 @@ class EvalCheckpoint:
         fsync_every_n: int = 0,
         opener=None,
     ):
-        if fsync_every_n < 0:
-            raise ValueError("fsync_every_n must be >= 0")
-        self.path = Path(path)
         #: 0 (default) flushes to the OS only — kill-resilient; n > 0 also
-        #: fsyncs every n appends — power-loss-resilient at write cost
-        self.fsync_every_n = fsync_every_n
+        #: fsyncs every n appends — power-loss-resilient at write cost.
         #: ``opener(path, "a")`` returns the append handle — the storage
         #: fault-injection seam (:class:`repro.storage.FaultyStorage`)
-        self._opener = opener or (
-            lambda target, mode: open(target, mode, encoding="utf-8")
-        )
-        self._appends = 0
-        self._unsynced = 0
+        self._log = AppendLog(path, fsync_every_n=fsync_every_n, opener=opener)
+        self.path = self._log.path
         self._records: dict[str, dict] = {}
         # Parallel evaluation workers append concurrently; the lock keeps
         # each JSONL line intact (no interleaved partial writes).
         self._lock = threading.Lock()
-        if self.path.exists():
-            self._load()
-
-    def _load(self) -> None:
-        with self.path.open(encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn write from a killed run (tail or mid-file)
-                qid = record.get("question_id")
-                if qid:
-                    self._records[qid] = record
+        for record in self._log.load().parsed:
+            qid = record.get("question_id")
+            if qid:
+                self._records[qid] = record
 
     def __len__(self) -> int:
         return len(self._records)
@@ -160,23 +144,8 @@ class EvalCheckpoint:
         }
         with self._lock:
             self._records[question_id] = record
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self._opener(self.path, "a") as handle:
-                handle.write(json.dumps(record) + "\n")
-                handle.flush()
-                self._appends += 1
-                self._unsynced += 1
-                if self.fsync_every_n and self._appends % self.fsync_every_n == 0:
-                    self._fsync(handle)
+            self._log.append(record)
         return record
-
-    def _fsync(self, handle) -> None:
-        sync = getattr(handle, "sync", None)
-        if callable(sync):
-            sync()
-        else:
-            os.fsync(handle.fileno())
-        self._unsynced = 0
 
     def close(self) -> None:
         """fsync the final partial batch (idempotent, crash-safe to skip).
@@ -186,11 +155,8 @@ class EvalCheckpoint:
         *clean* run.  Call when the evaluation finishes.
         """
         with self._lock:
-            if self._unsynced == 0 or not self.path.exists():
-                return
             try:
-                with self._opener(self.path, "a") as handle:
-                    self._fsync(handle)
+                self._log.sync()
             except OSError:
                 pass  # best-effort: close() must not fail a finished run
 

@@ -65,6 +65,8 @@ Durability properties:
   recovery, which warms its result cache from committed records so the
   hit pattern matches).
 
+Every line goes through one :class:`~repro.storage.format.AppendLog`,
+which owns the open/append/fsync/torn-tail mechanics.
 ``fsync_every_n`` forces an fsync every n appends for power-loss
 semantics (0 = flush only, the default — kill-resilient, not
 power-loss-resilient); :meth:`ServingJournal.seal` / ``close()`` always
@@ -76,7 +78,6 @@ journal — :class:`repro.storage.FaultyStorage` plugs in there.
 from __future__ import annotations
 
 import errno
-import os
 import threading
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -89,10 +90,10 @@ from repro.reliability.checkpoint import decode_cost, encode_cost
 from repro.reliability.deadline import Deadline
 from repro.reliability.degradation import DegradationEvent
 from repro.storage.format import (
+    JOURNAL_VERSION,
+    AppendLog,
     JournalCorruptionError,
     JournalVersionError,
-    encode_record,
-    scan_file,
 )
 
 __all__ = [
@@ -105,12 +106,6 @@ __all__ = [
     "JournalCorruptionError",
     "JournalVersionError",
 ]
-
-JOURNAL_VERSION = 2
-
-
-def _default_opener(path: Path, mode: str):
-    return open(path, mode, encoding="utf-8")
 
 
 def _classify_errno(exc: OSError) -> str:
@@ -133,10 +128,11 @@ class ServingJournal:
         on_storage_error: Optional[Callable[[OSError], None]] = None,
         epoch_provider: Optional[Callable[[str], int]] = None,
     ):
-        if fsync_every_n < 0:
-            raise ValueError("fsync_every_n must be >= 0")
-        self.path = Path(path)
-        self.fsync_every_n = fsync_every_n
+        #: ``opener(path, "a")`` must return a writable text-file-shaped
+        #: handle (write/flush/fileno/close, optionally ``sync()``) —
+        #: the storage fault-injection seam
+        self._log = AppendLog(path, fsync_every_n=fsync_every_n, opener=opener)
+        self.path = self._log.path
         #: ``epoch_provider(db_id)`` → current catalog ``schema_epoch``;
         #: when set, every committed record is stamped with the epoch of
         #: its request's database (the live-mutation harness wires the
@@ -146,52 +142,26 @@ class ServingJournal:
         #: reaches the OS — the hook the kill-after harness uses to
         #: SIGKILL the process at a deterministic journal position
         self.on_commit = on_commit
-        #: ``opener(path, "a")`` must return a writable text-file-shaped
-        #: handle (write/flush/fileno/close, optionally ``sync()``) —
-        #: the storage fault-injection seam
-        self._opener = opener or _default_opener
         self._storage_listeners: list[Callable[[OSError], None]] = []
         if on_storage_error is not None:
             self._storage_listeners.append(on_storage_error)
         self._lock = threading.Lock()
-        self._appends = 0
-        self._unsynced = 0
         self._commits = 0
         self._next_seq = 0
-        self._next_rec = 0
         #: brownout flag: a write-path OSError permanently disables disk
         #: appends for this journal instance (memory bookkeeping continues)
         self.disabled = False
         self.disable_reason: Optional[str] = None
         self.write_errors: dict[str, int] = {}
-        #: this session's seal epoch (1 + highest epoch already on disk)
-        self.epoch = 1
-        #: the loaded file ended with a seal (clean shutdown last time)
-        self.sealed = False
         self._sealed_now = False
         self.config: dict = {}
         self._accepted: dict[int, dict] = {}
         self._committed: dict[int, dict] = {}
-        if self.path.exists():
-            self._load()
-
-    # -------------------------------------------------------------- loading
-
-    def _load(self) -> None:
-        scan = scan_file(self.path)
-        version = scan.header_version
-        if version is not None and version > JOURNAL_VERSION:
-            raise JournalVersionError(self.path, version, JOURNAL_VERSION)
-        strict = (version or 1) >= 2
-        if strict and scan.interior_issues:
-            raise JournalCorruptionError(self.path, scan)
-        if scan.torn_tail:
-            # Drop the tear now: appending after a partial line would
-            # concatenate the next record onto the garbage.
-            try:
-                os.truncate(self.path, scan.good_bytes)
-            except OSError:
-                pass  # read-only segment: loads fine, appends will brown out
+        scan = self._log.load()
+        #: this session's seal epoch (1 + highest epoch already on disk)
+        self.epoch = scan.epoch + 1
+        #: the loaded file ended with a seal (clean shutdown last time)
+        self.sealed = scan.sealed
         for record in scan.parsed:
             kind = record.get("type")
             if kind == "header":
@@ -203,19 +173,8 @@ class ServingJournal:
                 self._committed[record["seq"]] = record
         if self._accepted or self._committed:
             self._next_seq = 1 + max([*self._accepted, *self._committed])
-        self._next_rec = scan.next_rec
-        self.epoch = scan.epoch + 1
-        self.sealed = scan.sealed
 
     # ------------------------------------------------------------ appending
-
-    def _fsync(self, handle) -> None:
-        sync = getattr(handle, "sync", None)
-        if callable(sync):
-            sync()
-        else:
-            os.fsync(handle.fileno())
-        self._unsynced = 0
 
     def _disable(self, exc: OSError) -> None:
         """Brown out: stop touching the disk, keep serving from memory."""
@@ -232,7 +191,7 @@ class ServingJournal:
         """Subscribe to the (one-shot) journal_disabled brownout event."""
         self._storage_listeners.append(listener)
 
-    def _append(self, record: dict, force_sync: bool = False) -> None:
+    def _append(self, record: dict, sync: bool = False) -> None:
         """Write one CRC-framed line; must be called with the lock held.
 
         A storage ``OSError`` trips the brownout instead of propagating:
@@ -241,23 +200,11 @@ class ServingJournal:
         """
         if self.disabled:
             return
-        line = encode_record(record, self._next_rec)
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self._opener(self.path, "a") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-                self._appends += 1
-                self._unsynced += 1
-                if force_sync or (
-                    self.fsync_every_n
-                    and self._appends % self.fsync_every_n == 0
-                ):
-                    self._fsync(handle)
+            self._log.append(record, sync=sync)
         except OSError as exc:
             self._disable(exc)
             return
-        self._next_rec += 1
         if record.get("type") != "seal":
             # any new record past a seal re-opens the file's history
             self.sealed = False
@@ -357,7 +304,7 @@ class ServingJournal:
                     "epoch": self.epoch,
                     "committed": len(self._committed),
                 },
-                force_sync=True,
+                sync=True,
             )
             if not self.disabled:
                 self.sealed = True
@@ -397,7 +344,7 @@ class ServingJournal:
             "accepted": accepted,
             "committed": committed,
             "pending": pending,
-            "fsync_every_n": self.fsync_every_n,
+            "fsync_every_n": self._log.fsync_every_n,
             "version": JOURNAL_VERSION,
             "epoch": self.epoch,
             "sealed": self.sealed,

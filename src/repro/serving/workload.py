@@ -5,18 +5,35 @@ requests ("Cheaper, Better, Faster, Stronger" builds its cost analysis on
 exactly this redundancy).  ``zipf_workload`` draws a request stream over a
 pool of distinct examples with rank-frequency ``p(r) ∝ 1/r^skew``, which
 is what makes the exact-match result tier earn its keep in the serving
-bench.
+bench.  ``spread_pool`` picks that pool across databases, so a sharded
+ring actually partitions the stream.
 """
 
 from __future__ import annotations
 
+from itertools import chain, islice, zip_longest
 from typing import Sequence
 
 import numpy as np
 
 from repro.datasets.types import Example
 
-__all__ = ["zipf_weights", "zipf_workload"]
+__all__ = ["spread_pool", "zipf_weights", "zipf_workload"]
+
+
+def spread_pool(examples: Sequence[Example], n: int) -> list[Example]:
+    """Up to ``n`` examples dealt one per database, round-robin.
+
+    Databases take turns in first-appearance order, each giving its next
+    example in split order; a database that runs out drops out of the
+    rotation.  So ``n`` questions span ``min(n, #dbs)`` databases even
+    though dev splits are grouped by database.
+    """
+    by_db: dict[str, list[Example]] = {}
+    for example in examples:
+        by_db.setdefault(example.db_id, []).append(example)
+    dealt = chain.from_iterable(zip_longest(*by_db.values()))
+    return list(islice((example for example in dealt if example is not None), n))
 
 
 def zipf_weights(n: int, skew: float = 1.2) -> np.ndarray:

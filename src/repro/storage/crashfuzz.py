@@ -29,21 +29,34 @@ The reference run reuses the recovery path itself to generate segments:
 serve (ring-routed accepts/commits, engine cache semantics), so cut
 recoveries and the reference converge by construction — any divergence
 is a real crash-consistency bug, not harness skew.
+
+:class:`RecordingOpener` and :func:`build_campaign` are shared with the
+drift fuzzer (:mod:`repro.livedata.driftfuzz`), which cuts the reindex
+checkpoint the same way.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from repro.storage.faults import stable_hash
 from repro.storage.format import JournalCorruptionError, JournalVersionError
 from repro.storage.fsck import repair_file
 
-__all__ = ["CrashFuzzConfig", "FuzzOutcome", "FuzzResult", "run_crash_fuzz"]
+__all__ = [
+    "CrashFuzzConfig",
+    "FuzzOutcome",
+    "FuzzResult",
+    "RecordingOpener",
+    "build_campaign",
+    "run_crash_fuzz",
+]
 
 
 @dataclass
@@ -61,9 +74,6 @@ class CrashFuzzConfig:
     torn: bool = True
     #: seeded single-bit corruption trials on the completed run
     bitflips: int = 3
-    #: bound clean and torn cut enumerations to the first N each
-    #: (None = every boundary); the CI smoke uses a small N
-    limit: Optional[int] = None
 
 
 @dataclass
@@ -125,57 +135,63 @@ class FuzzResult:
         )
 
 
-class _RecordingFile:
-    """Pass-through append handle that logs each write's byte effect."""
+class RecordingOpener:
+    """Append opener that logs every append's byte effect, across files.
 
-    def __init__(self, storage: "_RecordingStorage", path: Path, handle):
-        self._storage = storage
-        self._path = path
-        self._handle = handle
-
-    def write(self, data: str) -> int:
-        written = self._handle.write(data)
-        self._storage.record(self._path.name, len(data.encode("utf-8")))
-        return written
-
-    def flush(self) -> None:
-        self._handle.flush()
-
-    def fileno(self) -> int:
-        return self._handle.fileno()
-
-    def close(self) -> None:
-        self._handle.close()
-
-    def __enter__(self) -> "_RecordingFile":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class _RecordingStorage:
-    """Opener whose log is the global append sequence across segments."""
+    :class:`~repro.storage.format.AppendLog` opens the file once per
+    append, so one open that grew the file is one append.  The log is the
+    global append order: ``(file name, size after, bytes)`` per append.
+    """
 
     def __init__(self):
-        #: (segment_name, size_after_append, append_bytes), append order
         self.log: list[tuple[str, int, int]] = []
         self._sizes: dict[str, int] = {}
 
-    def opener(self, path: Union[str, Path], mode: str) -> _RecordingFile:
-        path = Path(path)
-        return _RecordingFile(self, path, open(path, mode, encoding="utf-8"))
+    @contextmanager
+    def __call__(self, path: Union[str, Path], mode: str):
+        with open(path, mode, encoding="utf-8") as handle:
+            yield handle
+        name = Path(path).name
+        size = os.path.getsize(path)
+        nbytes = size - self._sizes.get(name, 0)
+        if nbytes:
+            self._sizes[name] = size
+            self.log.append((name, size, nbytes))
 
-    def record(self, name: str, nbytes: int) -> None:
-        size = self._sizes.get(name, 0) + nbytes
-        self._sizes[name] = size
-        self.log.append((name, size, nbytes))
+    def lengths(self, k: int, torn: bool = False) -> dict[str, int]:
+        """Per-file byte lengths left by a power cut after append ``k``.
+
+        ``torn`` also keeps the first half of append ``k + 1`` (log index
+        ``k``): the tear a disk leaves when power dies mid-sector.
+        """
+        lengths: dict[str, int] = {}
+        for name, size_after, _nbytes in self.log[:k]:
+            lengths[name] = size_after
+        if torn:
+            name, _size_after, nbytes = self.log[k]
+            lengths[name] = lengths.get(name, 0) + nbytes // 2
+        return lengths
+
+    def cuts(self, torn: bool = True) -> Iterator[tuple[str, str, dict]]:
+        """``(cut_id, kind, lengths)`` for every clean cut, then every torn one."""
+        for k in range(len(self.log) + 1):
+            yield f"clean-{k:03d}", "clean", self.lengths(k)
+        if torn:
+            for k, (_name, _size_after, nbytes) in enumerate(self.log):
+                if nbytes >= 2:
+                    yield f"torn-{k:03d}", "torn", self.lengths(k, torn=True)
 
 
-def _build_pipeline(config: CrashFuzzConfig):
-    """(workload, pipeline, cluster_config) for the campaign."""
+def build_campaign(config, shards: int = 1):
+    """(workload, pipeline, cluster) for a crash- or drift-fuzz campaign.
+
+    ``config`` carries ``benchmark``, ``candidates``, ``seed``,
+    ``routing``, ``distinct`` and ``requests``.  The distinct pool is
+    spread across databases so the ring actually partitions the workload
+    over all shards.
+    """
     from repro.serving.cluster.config import ClusterConfig, build_worker_pipeline
-    from repro.serving.workload import zipf_workload
+    from repro.serving.workload import spread_pool, zipf_workload
 
     routing_config: dict = {}
     if config.routing:
@@ -183,33 +199,22 @@ def _build_pipeline(config: CrashFuzzConfig):
 
         routing_config = RoutingConfig().to_dict()
     cluster = ClusterConfig(
-        shards=config.shards,
+        shards=shards,
         benchmark=config.benchmark,
         candidates=config.candidates,
         seed=config.seed,
-        journal_dir="unused",  # segment paths come from the fuzz workdir
+        journal_dir="unused",  # log paths come from the fuzz workdir
         routing=config.routing,
         routing_config=routing_config,
     )
     benchmark, pipeline = build_worker_pipeline(cluster)
-    # Spread the distinct pool across databases so the ring actually
-    # partitions the workload over all shards.
-    by_db: dict = {}
-    for example in benchmark.dev:
-        by_db.setdefault(example.db_id, []).append(example)
-    queues = list(by_db.values())
-    pool, index = [], 0
-    while len(pool) < config.distinct and any(queues):
-        queue = queues[index % len(queues)]
-        if queue:
-            pool.append(queue.pop(0))
-        index += 1
+    pool = spread_pool(benchmark.dev, config.distinct)
     workload = zipf_workload(pool, requests=config.requests, seed=config.seed)
     return workload, pipeline, cluster
 
 
 def _write_reference(config, cluster, pipeline, workload, ref_dir: Path):
-    """Serve the workload into 3 recorded segments; return (log, doc)."""
+    """Serve the workload into recorded segments; return (recording, doc)."""
     from repro.serving.cluster.config import segment_name
     from repro.serving.cluster.recovery import ShardedJournalView
     from repro.serving.journal import (
@@ -219,31 +224,23 @@ def _write_reference(config, cluster, pipeline, workload, ref_dir: Path):
     )
 
     ref_dir.mkdir(parents=True, exist_ok=True)
-    recording = _RecordingStorage()
+    recording = RecordingOpener()
     for shard in range(config.shards):
-        journal = ServingJournal(
-            ref_dir / segment_name(shard), opener=recording.opener
-        )
+        journal = ServingJournal(ref_dir / segment_name(shard), opener=recording)
         journal.write_header(cluster.header_config(shard))
-    view = ShardedJournalView(ref_dir, opener=recording.opener)
+    view = ShardedJournalView(ref_dir, opener=recording)
     outcomes = recover_run(view, pipeline, workload)
     report = assemble_report(outcomes, workload, pipeline, name="crashfuzz")
     doc = json.dumps(report.deterministic_dict(), sort_keys=True)
-    return recording.log, doc
+    return recording, doc
 
 
-def _lengths_at(log, k: int) -> dict[str, int]:
-    """Per-segment byte lengths after the first ``k`` global appends."""
-    lengths: dict[str, int] = {}
-    for name, size_after, _nbytes in log[:k]:
-        lengths[name] = size_after
-    return lengths
-
-
-def _materialize(cut_dir: Path, lengths: dict[str, int], ref_bytes: dict):
+def _materialize(cut_dir: Path, lengths: dict[str, int], data: dict) -> Path:
+    """Write each file's first ``lengths[name]`` bytes of ``data[name]``."""
     cut_dir.mkdir(parents=True, exist_ok=True)
     for name, length in lengths.items():
-        (cut_dir / name).write_bytes(ref_bytes[name][:length])
+        (cut_dir / name).write_bytes(data[name][:length])
+    return cut_dir
 
 
 def _recover(cut_dir: Path, pipeline, workload, ref_doc: str):
@@ -290,27 +287,19 @@ def run_crash_fuzz(
 ) -> FuzzResult:
     """Run one full campaign under ``workdir`` (left on disk for triage)."""
     workdir = Path(workdir)
-    workload, pipeline, cluster = _build_pipeline(config)
+    workload, pipeline, cluster = build_campaign(config, config.shards)
     ref_dir = workdir / "reference"
-    log, ref_doc = _write_reference(config, cluster, pipeline, workload, ref_dir)
+    recording, ref_doc = _write_reference(
+        config, cluster, pipeline, workload, ref_dir
+    )
+    log = recording.log
     ref_bytes = {
         path.name: path.read_bytes() for path in ref_dir.glob("journal-shard-*")
     }
     result = FuzzResult(reference_doc=ref_doc, cut_points=len(log))
 
-    clean_ks = list(range(len(log) + 1))
-    torn_ks = (
-        [k for k, (_n, _s, nbytes) in enumerate(log) if nbytes >= 2]
-        if config.torn
-        else []
-    )
-    if config.limit is not None:
-        clean_ks = clean_ks[: config.limit]
-        torn_ks = torn_ks[: config.limit]
-
-    def run_cut(cut_id, kind, lengths):
-        cut_dir = workdir / "cuts" / cut_id
-        _materialize(cut_dir, lengths, ref_bytes)
+    for cut_id, kind, lengths in recording.cuts(config.torn):
+        cut_dir = _materialize(workdir / "cuts" / cut_id, lengths, ref_bytes)
         outcome, detail = _recover(cut_dir, pipeline, workload, ref_doc)
         entry = FuzzOutcome(cut=cut_id, kind=kind, outcome=outcome, detail=detail)
         # Pure power cuts must never lose anything recovery can't
@@ -322,41 +311,26 @@ def run_crash_fuzz(
         result.outcomes.append(entry)
         shutil.rmtree(cut_dir, ignore_errors=True)
 
-    for k in clean_ks:
-        run_cut(f"clean-{k:03d}", "clean", _lengths_at(log, k))
-
-    for k in torn_ks:
-        name, _size_after, nbytes = log[k]
-        lengths = _lengths_at(log, k)
-        lengths[name] = lengths.get(name, 0) + nbytes // 2
-        run_cut(f"torn-{k:03d}", "torn", lengths)
-
+    every = recording.lengths(len(log))
     for trial, k in enumerate(_flip_positions(log, config)):
         name, size_after, nbytes = log[k]
-        lengths = _lengths_at(log, len(log))
         data = bytearray(ref_bytes[name])
         start = size_after - nbytes
         position = start + stable_hash("flip-pos", config.seed, k) % max(
             1, nbytes - 1
         )
         data[position] ^= 1 << (stable_hash("flip-bit", config.seed, k) % 8)
-        flipped = dict(ref_bytes)
-        flipped[name] = bytes(data)
         cut_id = f"flip-{trial:03d}"
-        cut_dir = workdir / "cuts" / cut_id
-        cut_dir.mkdir(parents=True, exist_ok=True)
-        for seg_name, length in lengths.items():
-            (cut_dir / seg_name).write_bytes(flipped[seg_name][:length])
+        cut_dir = _materialize(
+            workdir / "cuts" / cut_id, every, {**ref_bytes, name: bytes(data)}
+        )
         outcome, detail = _recover(cut_dir, pipeline, workload, ref_doc)
         entry = FuzzOutcome(cut=cut_id, kind="flip", outcome=outcome, detail=detail)
         if outcome == "typed-loss":
             for segment in cut_dir.glob("journal-shard-*.jsonl"):
                 repair_file(segment)
-            repaired, _rdetail = _recover(cut_dir, pipeline, workload, ref_doc)
-            entry.repaired = repaired
-            entry.ok = repaired == "identical"
-        else:
-            entry.ok = outcome == "identical"
+            entry.repaired, _detail = _recover(cut_dir, pipeline, workload, ref_doc)
+        entry.ok = (entry.repaired or outcome) == "identical"
         result.outcomes.append(entry)
         shutil.rmtree(cut_dir, ignore_errors=True)
 

@@ -2,9 +2,9 @@
 
 The database layer has ``execution/chaos.py``; this is its storage
 sibling.  :class:`FaultyStorage` hands out an ``opener(path, mode)``
-that :class:`~repro.serving.journal.ServingJournal` and
-:class:`~repro.reliability.checkpoint.EvalCheckpoint` accept as a
-drop-in for :func:`open`, and every ``write()`` through it draws a
+that :class:`~repro.storage.format.AppendLog` accepts as a drop-in for
+:func:`open` — so the serving journal, the evaluation checkpoint and the
+reindex checkpoint all accept it — and every ``write()`` through it draws a
 fault from a seeded FNV hash keyed on ``(seed, path, append-index)`` —
 the same draw discipline as the database chaos layer, so a given seed
 produces the same fault schedule on every run and every platform.

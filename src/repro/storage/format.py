@@ -31,20 +31,26 @@ Strict interior-damage detection is keyed on the *header* version
 scratch journals — keep the old tolerant semantics, so every journal
 written before this format change still loads byte-for-byte.
 
-:func:`scan_file` is the one reader both :class:`ServingJournal` and
-``repro fsck`` build on: it never raises on damage, it *classifies* it
-(:class:`LineIssue`, tail vs interior) and leaves policy to the caller.
+:func:`scan_file` is the one reader: it never raises on damage, it
+*classifies* it (:class:`LineIssue`, tail vs interior).
+:class:`AppendLog` is the one writer, and it applies the load rule on
+top of the scan.  The serving journal, the evaluation checkpoint and the
+reindex checkpoint each hold one; ``repro fsck`` reads through
+:func:`scan_file` directly.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 __all__ = [
+    "JOURNAL_VERSION",
+    "AppendLog",
     "JournalCorruptionError",
     "JournalVersionError",
     "LineIssue",
@@ -53,6 +59,9 @@ __all__ = [
     "decode_line",
     "scan_file",
 ]
+
+#: the newest header ``version`` this reader understands
+JOURNAL_VERSION = 2
 
 
 class JournalVersionError(RuntimeError):
@@ -273,3 +282,95 @@ def scan_file(path: Union[str, Path]) -> JournalScan:
     if len(damaged) == 1 and damaged[0].line > last_good_line:
         damaged[0].at_tail = True
     return scan
+
+
+def _default_opener(path: Path, mode: str):
+    return open(path, mode, encoding="utf-8")
+
+
+class AppendLog:
+    """The one writer of a CRC-framed JSONL log file.
+
+    Every append opens the file through ``opener(path, "a")`` — the seam
+    :class:`~repro.storage.faults.FaultyStorage` and the fuzzers'
+    recording opener plug into — writes one framed line and flushes it.
+    It fsyncs when asked, or every ``fsync_every_n`` appends (0 = flush
+    only: kill-resilient, not power-loss-resilient).  The handle must
+    offer ``write``/``flush``/``fileno`` and the context-manager
+    protocol; a ``sync()`` method, when present, replaces ``os.fsync``.
+
+    Not thread-safe: callers serialize appends under their own lock.
+    """
+
+    def __init__(
+        self,
+        path: Union[str, Path],
+        fsync_every_n: int = 0,
+        opener: Optional[Callable] = None,
+    ):
+        if fsync_every_n < 0:
+            raise ValueError("fsync_every_n must be >= 0")
+        self.path = Path(path)
+        self.fsync_every_n = fsync_every_n
+        self._opener = opener or _default_opener
+        #: the ``rec`` the next append carries
+        self.rec = 0
+        self._appends = 0
+        self._unsynced = 0
+
+    def load(self) -> JournalScan:
+        """Scan the file, apply the load rule and return the scan.
+
+        A header newer than :data:`JOURNAL_VERSION` raises
+        :class:`JournalVersionError`.  Under a v2 header, interior damage
+        raises :class:`JournalCorruptionError`; headerless and v1 files
+        stay tolerant, and their damaged lines are simply absent from
+        ``scan.parsed``.  A torn tail is truncated, so the next append
+        starts on a clean line instead of being glued onto the tear.
+        A missing file loads as an empty scan.
+        """
+        if not self.path.exists():
+            self.rec = 0
+            return JournalScan(path=str(self.path))
+        scan = scan_file(self.path)
+        version = scan.header_version
+        if version is not None and version > JOURNAL_VERSION:
+            raise JournalVersionError(self.path, version, JOURNAL_VERSION)
+        if (version or 1) >= 2 and scan.interior_issues:
+            raise JournalCorruptionError(self.path, scan)
+        if scan.torn_tail:
+            try:
+                os.truncate(self.path, scan.good_bytes)
+            except OSError:
+                pass  # read-only file: it loads, and appends will fail
+        self.rec = scan.next_rec
+        return scan
+
+    def append(self, record: dict, sync: bool = False) -> None:
+        """Frame and write one record; an ``OSError`` propagates."""
+        line = encode_record(record, self.rec)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with self._opener(self.path, "a") as handle:
+            handle.write(line + "\n")
+            handle.flush()
+            self._appends += 1
+            self._unsynced += 1
+            if sync or (
+                self.fsync_every_n and self._appends % self.fsync_every_n == 0
+            ):
+                self._fsync(handle)
+        self.rec += 1
+
+    def sync(self) -> None:
+        """fsync the appends no fsync has covered yet (no-op when none)."""
+        if self._unsynced and self.path.exists():
+            with self._opener(self.path, "a") as handle:
+                self._fsync(handle)
+
+    def _fsync(self, handle) -> None:
+        sync = getattr(handle, "sync", None)
+        if callable(sync):
+            sync()
+        else:
+            os.fsync(handle.fileno())
+        self._unsynced = 0

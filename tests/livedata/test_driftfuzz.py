@@ -1,4 +1,4 @@
-"""Drift-chaos certifier: a bounded campaign certifies and is
+"""Drift-chaos certifier: a small campaign certifies and is
 deterministic across runs (the CLI diffs two ``--out`` documents)."""
 
 import json
@@ -14,7 +14,6 @@ def small_config():
         candidates=3,
         routing=False,
         mutate_every=2,
-        limit=2,
     )
 
 

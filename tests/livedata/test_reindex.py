@@ -13,7 +13,11 @@ from repro.livedata.mutations import MutationDriver
 from repro.livedata.reindex import DoubleReindexError, ReindexWorker
 from repro.llm.simulated import SimulatedLLM
 from repro.llm.skills import GPT_4O
-from repro.storage.format import JournalCorruptionError
+from repro.storage.format import (
+    JournalCorruptionError,
+    JournalVersionError,
+    encode_record,
+)
 
 
 @pytest.fixture
@@ -105,6 +109,15 @@ class TestReindex:
         lines[1] = b'####flipped-bits{"not json\n'
         path.write_bytes(b"".join(lines))
         with pytest.raises(JournalCorruptionError):
+            ReindexWorker(pipeline, path, registry=registry)
+
+    def test_newer_header_is_refused(self, world, tmp_path):
+        _, pipeline, registry, _ = world
+        path = tmp_path / "ck.jsonl"
+        path.write_text(
+            encode_record({"type": "header", "version": 3, "config": {}}, 0) + "\n"
+        )
+        with pytest.raises(JournalVersionError):
             ReindexWorker(pipeline, path, registry=registry)
 
     def test_digest_mismatch_is_typed_drift(self, world, tmp_path):

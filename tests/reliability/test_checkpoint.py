@@ -128,6 +128,13 @@ class TestCheckpointFile:
         reloaded = EvalCheckpoint(path)
         assert len(reloaded) == 2
         assert "q3" not in reloaded
+        # the resumed run appends after the tear: the load truncated it,
+        # so the next record is not glued onto the torn bytes and lost
+        reloaded.record_example("q3")
+        reloaded.record_example("q4")
+        again = EvalCheckpoint(path)
+        assert len(again) == 4
+        assert "q3" in again and "q4" in again
 
     def test_blank_lines_tolerated(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -165,6 +172,44 @@ class TestCheckpointFile:
         assert len(reloaded) == 2
         assert "q1" in reloaded and "q3" in reloaded
         assert "q2" not in reloaded
+
+    def test_altered_line_fails_its_crc_and_is_skipped(self, tmp_path):
+        # a line that still parses but no longer holds the bytes that were
+        # written must not replay a wrong cost: it fails its CRC, is
+        # skipped like any damaged line, and its example re-runs
+        path = tmp_path / "run.jsonl"
+        checkpoint = EvalCheckpoint(path)
+        cost = CostTracker()
+        cost.stage("generation").calls = 3
+        for question_id in ("q1", "q2", "q3"):
+            checkpoint.record_example(question_id, cost=cost)
+        lines = path.read_text().splitlines()
+        assert '"calls": 3' in lines[1]
+        lines[1] = lines[1].replace('"calls": 3', '"calls": 7')
+        path.write_text("\n".join(lines) + "\n")
+        reloaded = EvalCheckpoint(path)
+        assert "q2" not in reloaded
+        assert "q1" in reloaded and "q3" in reloaded
+        _, _, _, replayed, _ = EvalCheckpoint.decode(reloaded.get("q1"))
+        assert replayed.stage("generation").calls == 3
+
+    def test_bare_unframed_lines_still_load(self, tmp_path):
+        # checkpoints written before the CRC frame hold bare JSON lines
+        path = tmp_path / "run.jsonl"
+        bare = {
+            "version": 1, "score": None, "generation_score": None,
+            "refined_score": None, "cost": None, "degradations": [],
+            "error": None,
+        }
+        path.write_text("".join(
+            json.dumps({**bare, "question_id": qid}) + "\n"
+            for qid in ("q1", "q2")
+        ))
+        reloaded = EvalCheckpoint(path)
+        assert len(reloaded) == 2
+        assert EvalCheckpoint.decode(reloaded.get("q1"))[0] is None
+        reloaded.record_example("q3")
+        assert len(EvalCheckpoint(path)) == 3
 
     def test_fsync_every_n_flushes_and_keeps_recording(self, tmp_path):
         path = tmp_path / "run.jsonl"

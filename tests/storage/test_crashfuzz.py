@@ -1,8 +1,8 @@
 """Crash fuzzer unit smoke: a tiny campaign certifies and is stable.
 
-The full enumeration runs in ``benchmarks/bench_crashfuzz.py``; this
-keeps a bounded version in the tier-1 suite so a recovery regression
-fails fast, without the bench harness.
+The full-size campaign runs in ``benchmarks/bench_crashfuzz.py``; this
+keeps a small one, every cut enumerated, in the tier-1 suite so a
+recovery regression fails fast, without the bench harness.
 """
 
 import pytest
@@ -13,7 +13,7 @@ from repro.storage.crashfuzz import CrashFuzzConfig, run_crash_fuzz
 @pytest.fixture(scope="module")
 def campaign(tmp_path_factory):
     config = CrashFuzzConfig(
-        shards=2, requests=6, distinct=4, limit=4, bitflips=1, routing=False
+        shards=2, requests=6, distinct=4, bitflips=1, routing=False
     )
     return run_crash_fuzz(config, tmp_path_factory.mktemp("crashfuzz"))
 
@@ -33,10 +33,6 @@ class TestCampaign:
     def test_covers_all_cut_kinds(self, campaign):
         assert {o.kind for o in campaign.outcomes} == {"clean", "torn", "flip"}
 
-    def test_limit_bounds_enumeration(self, campaign):
-        assert sum(1 for o in campaign.outcomes if o.kind == "clean") == 4
-        assert sum(1 for o in campaign.outcomes if o.kind == "torn") == 4
-
     def test_summary_and_format(self, campaign):
         summary = campaign.summary()
         assert summary["ok"]
@@ -53,7 +49,7 @@ class TestCampaign:
 
 def test_no_torn_config_skips_torn_cuts(tmp_path):
     config = CrashFuzzConfig(
-        shards=2, requests=4, distinct=2, limit=2, bitflips=0,
+        shards=2, requests=4, distinct=2, bitflips=0,
         torn=False, routing=False,
     )
     result = run_crash_fuzz(config, tmp_path)

@@ -3,6 +3,7 @@
 import json
 
 from repro.storage import (
+    AppendLog,
     JournalCorruptionError,
     decode_line,
     encode_record,
@@ -182,3 +183,26 @@ class TestCorruptionError:
         assert "fsck" in message
         assert "1 damaged line(s)" in message
         assert error.scan.records == 3
+
+
+class TestAppendLog:
+    def test_fsync_cadence(self, tmp_path):
+        syncs = []
+
+        def opener(path, mode):
+            handle = open(path, mode, encoding="utf-8")
+            handle.sync = lambda: syncs.append(path)
+            return handle
+
+        log = AppendLog(tmp_path / "log.jsonl", fsync_every_n=3, opener=opener)
+        for record in RECORDS[:3]:
+            log.append(record)
+        assert len(syncs) == 1  # every third append
+        log.append(RECORDS[3], sync=True)
+        assert len(syncs) == 2
+        log.sync()  # nothing pending since the last fsync
+        assert len(syncs) == 2
+        log.append(RECORDS[0])
+        log.sync()
+        assert len(syncs) == 3
+        assert [r["rec"] for r in scan_file(log.path).parsed] == [0, 1, 2, 3, 4]

@@ -461,7 +461,7 @@ class TestCrashFuzz:
         argv = (
             "--candidates", "3", "crash-fuzz",
             "--shards", "2", "--requests", "4", "--distinct", "2",
-            "--limit", "2", "--bitflips", "1", "--no-torn", "--no-routing",
+            "--bitflips", "1", "--no-torn", "--no-routing",
         )
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         code, text = run_cli(*argv, "--out", str(first))
