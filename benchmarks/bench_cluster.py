@@ -40,7 +40,7 @@ from repro.serving import (
     recover_run,
     zipf_workload,
 )
-from repro.serving.cluster.config import build_worker_pipeline, resolve_benchmark
+from repro.serving.spec import RunSpec, build, resolve_benchmark
 
 SMOKE = bool(int(os.environ.get("REPRO_SERVING_SMOKE", "0")))
 SEED = 7
@@ -50,6 +50,7 @@ SHARDS = 3
 KILL_WORKER = 1  # owns the most traffic on this seed (verified below)
 KILL_AFTER = 2
 REQUESTS = 16 if SMOKE else 28
+SPEC = RunSpec(benchmark="cluster-smoke", candidates=CANDIDATES, seed=0)
 
 
 def _workload(benchmark):
@@ -65,9 +66,7 @@ def _workload(benchmark):
 def _config(tmp_dir, name, **overrides):
     defaults = dict(
         shards=SHARDS,
-        benchmark="cluster-smoke",
-        candidates=CANDIDATES,
-        seed=0,
+        spec=SPEC,
         journal_dir=str(tmp_dir / name),
         backoff_base=0.05,
         restart_budget=1,
@@ -77,14 +76,13 @@ def _config(tmp_dir, name, **overrides):
 
 
 def _reference_doc(tmp_dir, workload):
-    config = _config(tmp_dir, "reference", shards=1)
-    _, pipeline = build_worker_pipeline(config)
+    stack = build(SPEC)
     journal = ServingJournal(tmp_dir / "reference" / "single.jsonl")
     with ServingEngine(
-        pipeline, workers=1, result_cache_size=512, journal=journal
+        stack.pipeline, workers=1, result_cache_size=512, journal=journal
     ) as engine:
         engine.run(workload)
-    _, clean = build_worker_pipeline(config)
+    clean = stack.clean_pipeline()
     outcomes = recover_run(
         ServingJournal(tmp_dir / "reference" / "single.jsonl"), clean, workload
     )
@@ -94,7 +92,7 @@ def _reference_doc(tmp_dir, workload):
 
 def _recovered_doc(config, workload):
     view = ShardedJournalView(config.journal_dir)
-    _, clean = build_worker_pipeline(config)
+    clean = build(config.spec).clean_pipeline()
     outcomes = recover_run(view, clean, workload)
     report = assemble_report(outcomes, workload, clean)
     return view, json.dumps(report.deterministic_dict(), sort_keys=True)

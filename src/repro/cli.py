@@ -12,12 +12,18 @@ Subcommands::
     python -m repro serve-bench --shards 3 --journal DIR  # multi-process cluster
     python -m repro recover --journal j.jsonl  # finish a killed serve-bench run
     python -m repro recover --journal DIR      # merge + replay shard segments
+    python -m repro fsck --journal PATH        # validate (--repair) a journal
+    python -m repro crash-fuzz --out o.jsonl   # power cuts at every append
+    python -m repro drift-fuzz --out o.json    # live mutations + reindex kills
     python -m repro route-bench --size 100     # difficulty router tier mix
     python -m repro trace --question-id <id>   # serve one question, print spans
     python -m repro metrics --requests 24      # unified metrics export
 
 Every subcommand accepts ``--benchmark {bird,spider}``, ``--model
 {gpt-4o,gpt-4,gpt-4o-mini}``, ``--candidates N`` and ``--seed N``.
+The serving commands build their stack from one
+:class:`~repro.serving.spec.RunSpec`: serve-bench's flags are its fields,
+a journal header records it, and ``recover`` rebuilds from the header.
 """
 
 from __future__ import annotations
@@ -27,15 +33,10 @@ import sys
 from typing import Optional, Sequence
 
 from repro.baselines.systems import all_baselines
-from repro.core.config import PipelineConfig
-from repro.core.pipeline import OpenSearchSQL
-from repro.datasets.bird import build_bird_like, mini_dev
-from repro.datasets.build import Benchmark
-from repro.datasets.spider import build_spider_like
+from repro.datasets.bird import mini_dev
 from repro.evaluation.report import format_table
 from repro.evaluation.runner import evaluate_pipeline, evaluate_system
-from repro.llm.simulated import SimulatedLLM
-from repro.llm.skills import skill_by_name
+from repro.serving.spec import RunSpec, SpecError, build, resolve_benchmark
 
 __all__ = ["main", "build_parser"]
 
@@ -330,20 +331,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_benchmark(name: str) -> Benchmark:
-    return build_bird_like() if name == "bird" else build_spider_like()
+def _build_pipeline(benchmark, args):
+    """The unrouted pipeline of the command line's model, vote and seed."""
+    return RunSpec.from_args(args).base_pipeline(benchmark)
 
 
-def _build_pipeline(benchmark: Benchmark, args) -> OpenSearchSQL:
-    config = PipelineConfig(n_candidates=args.candidates, seed=args.seed)
-    llm = SimulatedLLM(skill_by_name(args.model), seed=args.seed)
-    return OpenSearchSQL(benchmark, llm, config)
+def _pick_example(benchmark, args, out):
+    """``--question-id`` in ``--split`` (default: its first question), or
+    None after writing the error line."""
+    examples = benchmark.split(args.split)
+    if not args.question_id:
+        return examples[0]
+    matches = [e for e in examples if e.question_id == args.question_id]
+    if not matches:
+        out.write(f"error: no question {args.question_id!r} in {args.split}\n")
+        return None
+    return matches[0]
 
 
 def _cmd_stats(args, out) -> int:
     rows = []
     for name in ("bird", "spider"):
-        stats = _build_benchmark(name).statistics
+        stats = resolve_benchmark(name).statistics
         rows.append(
             [stats["name"], stats["train"], stats["dev"], stats["test"],
              stats["databases"], stats["tables"], stats["columns"]]
@@ -359,16 +368,10 @@ def _cmd_stats(args, out) -> int:
 
 
 def _cmd_run(args, out) -> int:
-    benchmark = _build_benchmark(args.benchmark)
-    examples = benchmark.split(args.split)
-    if args.question_id:
-        matches = [e for e in examples if e.question_id == args.question_id]
-        if not matches:
-            out.write(f"error: no question {args.question_id!r} in {args.split}\n")
-            return 2
-        example = matches[0]
-    else:
-        example = examples[0]
+    benchmark = resolve_benchmark(args.benchmark)
+    example = _pick_example(benchmark, args, out)
+    if example is None:
+        return 2
     pipeline = _build_pipeline(benchmark, args)
     result = pipeline.answer(example)
     out.write(f"question : {example.question}\n")
@@ -384,7 +387,7 @@ def _cmd_run(args, out) -> int:
 
 
 def _cmd_evaluate(args, out) -> int:
-    benchmark = _build_benchmark(args.benchmark)
+    benchmark = resolve_benchmark(args.benchmark)
     examples = benchmark.split(args.split)
     if args.limit:
         examples = examples[: args.limit]
@@ -452,7 +455,12 @@ _ABLATIONS = [
 
 
 def _cmd_ablate(args, out) -> int:
-    benchmark = _build_benchmark(args.benchmark)
+    from repro.core.config import PipelineConfig
+    from repro.core.pipeline import OpenSearchSQL
+    from repro.llm.simulated import SimulatedLLM
+    from repro.llm.skills import skill_by_name
+
+    benchmark = resolve_benchmark(args.benchmark)
     examples = mini_dev(benchmark, size=args.size) if args.benchmark == "bird" else benchmark.dev
     rows = []
     for name, changes in _ABLATIONS:
@@ -468,7 +476,7 @@ def _cmd_ablate(args, out) -> int:
 
 
 def _cmd_baselines(args, out) -> int:
-    benchmark = _build_benchmark(args.benchmark)
+    benchmark = resolve_benchmark(args.benchmark)
     examples = (
         mini_dev(benchmark, size=150)
         if args.benchmark == "bird"
@@ -486,340 +494,149 @@ def _cmd_baselines(args, out) -> int:
     return 0
 
 
-def _build_backend_pool(pipeline, replicas: int, fault_rate: float, seed: int):
-    """N ResilientLLM replicas over the pipeline's simulated model, the
-    primary (replica 0) fault-injected at ``fault_rate``."""
-    from repro.reliability import FaultInjectingLLM, FaultPlan, ResilientLLM
-    from repro.serving import BackendPool
-
-    clients = []
-    for index in range(replicas):
-        inner = pipeline.llm
-        if index == 0 and fault_rate > 0:
-            inner = FaultInjectingLLM(
-                inner, FaultPlan.chaos(fault_rate), seed=seed + index
-            )
-        clients.append(ResilientLLM(inner, seed=seed + index))
-    return BackendPool(clients)
-
-
-def _select_pool(dev, distinct: int, mode: str):
-    """The distinct-question pool a serve-bench workload samples from.
-
-    ``prefix`` keeps the historical behaviour (first N dev examples —
-    the dev split is grouped by database, so small N means one db).
-    ``spread`` is :func:`~repro.serving.workload.spread_pool`: one
-    example per database round-robin, so N questions span min(N, #dbs)
-    databases.  Both are pure functions of (dev, distinct, mode): the
-    journal header records the mode and ``repro recover`` rebuilds the
-    identical pool.
-    """
-    from repro.serving.workload import spread_pool
-
-    if not distinct:
-        return dev
-    if mode == "spread":
-        return spread_pool(dev, distinct)
-    return dev[:distinct]
-
-
-def _cmd_serve_bench_cluster(args, out) -> int:
-    """serve-bench --shards N: drive the multi-process cluster."""
-    from repro.serving import (
-        ClusterConfig,
-        ShardCoordinator,
-        ShardedJournalView,
-        assemble_report,
-        recover_run,
-    )
-    from repro.serving.workload import zipf_workload
-
-    if not args.journal:
-        out.write("error: --shards requires --journal DIR (one segment "
-                  "per worker is written inside it)\n")
-        return 2
-    unsupported = [
-        ("--async", args.use_async),
-        ("--mode open", args.mode == "open"),
-        ("--no-cache", args.no_cache),
-        ("--fault-rate", args.fault_rate > 0),
-        ("--hedge-ms", args.hedge_ms > 0),
-        ("--backends", args.backends > 0),
-        ("--db-max-inflight", args.db_max_inflight > 0),
-        ("--health-shed", args.health_shed),
+def _serve_bench_refusal(args) -> Optional[str]:
+    """Why this serve-bench command line cannot run, or None."""
+    partners = [
+        ("--shards", args.shards > 0, args.journal,
+         "--journal DIR (one segment per worker is written inside it)"),
+        ("--report-out", args.report_out, args.journal, "--journal"),
+        ("--kill-after", args.kill_after > 0, args.journal, "--journal"),
+        ("--storage-enospc-after", args.storage_enospc_after > 0,
+         args.journal, "--journal"),
+        ("--kill-worker", args.kill_worker >= 0, args.shards > 0, "--shards"),
     ]
-    bad = [flag for flag, on in unsupported if on]
-    if bad:
-        out.write(f"error: {', '.join(bad)} not supported with --shards\n")
-        return 2
-
-    benchmark = _build_benchmark(args.benchmark)
-    pool = _select_pool(benchmark.dev, args.distinct, args.pool)
-    workload = zipf_workload(
-        pool, requests=args.requests, skew=args.zipf, seed=args.seed
-    )
-    routing_config: dict = {}
-    if args.routing:
-        from repro.routing import RoutingConfig
-
-        routing_config = RoutingConfig().to_dict()
-    config = ClusterConfig(
-        shards=args.shards,
-        benchmark=args.benchmark,
-        model=args.model,
-        candidates=args.candidates,
-        seed=args.seed,
-        journal_dir=args.journal,
-        queue_capacity=args.queue_capacity,
-        deadline_seconds=(args.deadline_ms / 1000.0) or None,
-        restart_budget=args.restart_budget,
-        routing=args.routing,
-        routing_config=routing_config,
-        header={
-            "requests": args.requests,
-            "distinct": args.distinct,
-            "pool": args.pool,
-            "zipf": args.zipf,
-        },
-        storage=(
-            {"enospc_after": args.storage_enospc_after}
-            if args.storage_enospc_after > 0
-            else {}
-        ),
-    )
-
-    on_result = None
-    if args.kill_worker >= 0:
-        kill_worker = args.kill_worker
-        kill_after = args.kill_after or 2
-        killed = []
-
-        def on_result(worker_id: int, results: int) -> None:
-            if worker_id == kill_worker and results >= kill_after and not killed:
-                killed.append(worker_id)
-                coordinator.kill_worker(worker_id)
-
-    metrics = None
-    if args.metrics_out:
-        from repro.observability import MetricsRegistry
-
-        metrics = MetricsRegistry()
-
-    coordinator = ShardCoordinator(config, metrics=metrics, on_result=on_result)
-    with coordinator:
-        results = coordinator.run(workload)
-        stats = coordinator.stats()
-    served = sum(1 for r in results if r is not None)
-    out.write(
-        f"workload : {args.requests} requests over {len(pool)} distinct "
-        f"questions (zipf skew {args.zipf}, {args.shards} shards)\n"
-    )
-    out.write(f"served   : {served}/{len(workload)}\n")
-    out.write(stats.format() + "\n")
-    if metrics is not None:
-        from pathlib import Path
-
-        target = Path(args.metrics_out)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(coordinator.merged_metrics().to_json() + "\n")
-        out.write(f"metrics  : wrote snapshot to {args.metrics_out}\n")
-    if args.report_out:
-        # Score through the merged view of every shard's segment; the
-        # report comes out of the same recover_run/assemble_report path
-        # the single-process bench uses, so the two are byte-comparable.
-        view = ShardedJournalView(args.journal)
-        clean = _build_pipeline(benchmark, args)
-        if args.routing:
-            from repro.routing import RoutingConfig, TieredPipeline
-
-            clean = TieredPipeline(
-                clean, RoutingConfig.from_dict(routing_config)
-            )
-        outcomes = recover_run(
-            view, clean, workload, result_cache_size=config.result_cache_size
-        )
-        report = assemble_report(outcomes, workload, clean)
-        _write_deterministic_report(report, args.report_out)
-        out.write(f"report   : wrote {args.report_out} (EX {report.ex:.1f})\n")
-    return 0
+    for flag, used, partnered, partner in partners:
+        if used and not partnered:
+            return f"{flag} requires {partner}"
+    if args.mutate_every > 0 and (args.shards > 0 or args.use_async):
+        return ("--mutate-every serves serially on the in-process sync "
+                "engine; not supported with --shards or --async")
+    if args.shards > 0:
+        unsupported = [
+            ("--async", args.use_async),
+            ("--mode open", args.mode == "open"),
+            ("--no-cache", args.no_cache),
+            ("--fault-rate", args.fault_rate > 0),
+            ("--hedge-ms", args.hedge_ms > 0),
+            ("--backends", args.backends > 0),
+            ("--db-max-inflight", args.db_max_inflight > 0),
+            ("--health-shed", args.health_shed),
+        ]
+        bad = [flag for flag, on in unsupported if on]
+        if bad:
+            return f"{', '.join(bad)} not supported with --shards"
+    return None
 
 
 def _cmd_serve_bench(args, out) -> int:
     import os
     import signal
 
-    if args.mutate_every > 0 and (args.shards > 0 or args.use_async):
-        out.write("error: --mutate-every serves serially on the in-process "
-                  "sync engine; not supported with --shards or --async\n")
-        return 2
-    if args.shards > 0:
-        return _cmd_serve_bench_cluster(args, out)
-
+    from repro.observability import MetricsRegistry
     from repro.serving import (
-        DEFAULT_HEALTH_SHED,
-        AsyncServingEngine,
-        ServingEngine,
+        ClusterConfig,
         ServingJournal,
-        assemble_report,
-        recover_run,
+        ShardCoordinator,
+        ShardedJournalView,
     )
-    from repro.serving.workload import zipf_workload
 
-    benchmark = _build_benchmark(args.benchmark)
-    pool = _select_pool(benchmark.dev, args.distinct, args.pool)
-    workload = zipf_workload(
-        pool, requests=args.requests, skew=args.zipf, seed=args.seed
-    )
-    pipeline = _build_pipeline(benchmark, args)
-    tiered = None
-    if args.routing:
-        from repro.routing import TieredPipeline
-
-        # Chaos/backends rebind the *base* LLM below, which is exactly the
-        # FULL tier; the FAST/HEAVY tiers keep their own clean clients.
-        tiered = TieredPipeline(pipeline)
-
-    llm_injector = db_stats = backends = None
-    if args.backends > 0:
-        backends = _build_backend_pool(
-            pipeline, args.backends, args.fault_rate, args.seed
-        )
-        pipeline.rebind_llm(backends)
-    elif args.fault_rate > 0:
-        from repro.reliability import FaultInjectingLLM, FaultPlan, ResilientLLM
-
-        llm_injector = FaultInjectingLLM(
-            pipeline.llm, FaultPlan.chaos(args.fault_rate), seed=args.seed
-        )
-        pipeline.rebind_llm(ResilientLLM(llm_injector, seed=args.seed))
-    if args.fault_rate > 0:
-        from repro.execution import DbFaultPlan, FaultInjectingExecutor
-        from repro.reliability import ReliabilityStats
-
-        db_stats = ReliabilityStats()
-        db_plan = DbFaultPlan.chaos(args.fault_rate)
-        pipeline.set_executor_wrapper(
-            lambda executor, db_id: FaultInjectingExecutor(
-                executor, db_plan, seed=args.seed, stats=db_stats
-            )
-        )
+    refusal = _serve_bench_refusal(args)
+    if refusal:
+        out.write(f"error: {refusal}\n")
+        return 2
+    spec = RunSpec.from_args(args)
+    stack = build(spec)
+    metrics = MetricsRegistry() if args.metrics_out else None
+    storage = {}
+    if args.storage_enospc_after > 0:
+        storage = {"enospc_after": args.storage_enospc_after}
 
     journal = None
-    cache_size = 0 if args.no_cache else 512
-    if args.journal:
-        opener = None
-        if args.storage_enospc_after > 0:
-            from repro.storage import FaultyStorage, StorageFaultPlan
+    if args.shards:
+        on_result = None
+        if args.kill_worker >= 0:
+            kill_after = args.kill_after or 2
+            killed = []
 
-            opener = FaultyStorage(
-                StorageFaultPlan(enospc_after=args.storage_enospc_after),
-                seed=args.seed,
-            ).opener
-        journal = ServingJournal(args.journal, opener=opener)
-        # The header pins the active skill profile and — for routed runs —
-        # the routing config plus the workload's routed tier mix, so
-        # 'repro recover' can refuse to replay under a different model
-        # tier instead of silently producing a divergent report.
-        header = {
-            "benchmark": args.benchmark,
-            "model": args.model,
-            "skill_profile": args.model,
-            "candidates": args.candidates,
-            "seed": args.seed,
-            "requests": args.requests,
-            "distinct": args.distinct,
-            "pool": args.pool,
-            "zipf": args.zipf,
-            "result_cache_size": cache_size,
-        }
-        if args.use_async:
-            header["async"] = True
-        if tiered is not None:
-            header["routing"] = True
-            header["routing_config"] = tiered.routing_config.to_dict()
-            header["tier_mix"] = tiered.tier_mix(workload)
-        journal.write_header(header)
-        if args.kill_after > 0:
-            kill_after = args.kill_after
+            def on_result(worker_id: int, results: int) -> None:
+                if worker_id == args.kill_worker and results >= kill_after \
+                        and not killed:
+                    killed.append(worker_id)
+                    runner.kill_worker(worker_id)
 
-            def _kill(commits: int) -> None:
-                if commits >= kill_after:
-                    os.kill(os.getpid(), signal.SIGKILL)
+        config = ClusterConfig(
+            shards=args.shards,
+            spec=spec,
+            journal_dir=args.journal,
+            restart_budget=args.restart_budget,
+            storage=storage,
+        )
+        runner = ShardCoordinator(config, metrics=metrics, on_result=on_result)
+        label = f"{args.shards} shards"
+    else:
+        if args.journal:
+            opener = None
+            if storage:
+                from repro.storage import FaultyStorage, StorageFaultPlan
 
-            journal.on_commit = _kill
+                opener = FaultyStorage(
+                    StorageFaultPlan(**storage), seed=spec.seed
+                ).opener
+            journal = ServingJournal(args.journal, opener=opener)
+            journal.write_header(stack.header())
+            if args.kill_after > 0:
 
-    metrics = None
-    if args.metrics_out:
-        from repro.observability import MetricsRegistry
+                def _kill(commits: int) -> None:
+                    if commits >= args.kill_after:
+                        os.kill(os.getpid(), signal.SIGKILL)
 
-        metrics = MetricsRegistry()
+                journal.on_commit = _kill
+        runner = stack.engine(journal=journal, metrics=metrics)
+        label = "async" if spec.use_async else f"{spec.mode}-loop"
 
-    hedge_ms = args.hedge_ms
-    if args.fault_rate > 0 and not hedge_ms:
-        hedge_ms = 2000.0
-    engine_cls = AsyncServingEngine if args.use_async else ServingEngine
-    queue_capacity = args.queue_capacity
-    if args.use_async:
-        # The async engine admits non-blocking (a blocking admit would
-        # stall the event loop), so the queue must cover the workload.
-        queue_capacity = max(queue_capacity, args.requests)
-    engine = engine_cls(
-        tiered if tiered is not None else pipeline,
-        workers=args.workers,
-        queue_capacity=queue_capacity,
-        result_cache_size=cache_size,
-        extraction_cache_size=0 if args.no_cache else 1024,
-        fewshot_cache_size=0 if args.no_cache else 1024,
-        deadline_seconds=(args.deadline_ms / 1000.0) or None,
-        hedge_threshold=(hedge_ms / 1000.0) or None,
-        db_max_inflight=args.db_max_inflight or None,
-        journal=journal,
-        backends=backends,
-        health_shed=DEFAULT_HEALTH_SHED if args.health_shed else None,
-        metrics=metrics,
-    )
     driver = reindexer = None
-    if args.mutate_every > 0:
+    if spec.mutate_every > 0:
         import tempfile
         from pathlib import Path
 
         from repro.livedata import EpochRegistry, MutationDriver, ReindexWorker
 
         registry = EpochRegistry()
-        engine.attach_livedata(registry)
-        driver = MutationDriver(benchmark, registry, seed=args.seed)
+        runner.attach_livedata(registry)
+        driver = MutationDriver(stack.benchmark, registry, seed=spec.seed)
         if args.journal:
             checkpoint_path = Path(str(args.journal) + ".reindex")
         else:
             _reindex_dir = tempfile.TemporaryDirectory(prefix="repro-reindex-")
             checkpoint_path = Path(_reindex_dir.name) / "reindex.jsonl"
         reindexer = ReindexWorker(
-            pipeline, checkpoint_path, registry=registry, health=engine.health
+            stack.base, checkpoint_path, registry=registry, health=runner.health
         )
 
-    with engine:
+    with runner:
         if driver is not None:
             # Live-mutation mode serves serially so every mutation lands
             # on a request boundary; the reindexer catches the mutated
             # database up before the next request is admitted.
             results = []
-            for position, example in enumerate(workload):
-                results.append(engine.answer(example))
-                if (position + 1) % args.mutate_every == 0 \
-                        and position + 1 < len(workload):
+            for position, example in enumerate(stack.workload):
+                results.append(runner.answer(example))
+                if (position + 1) % spec.mutate_every == 0 \
+                        and position + 1 < len(stack.workload):
                     event = driver.mutate()
-                    engine.invalidate_db(event.db_id)
+                    runner.invalidate_db(event.db_id)
                     reindexer.reindex(event.db_id, epoch=event.epoch)
+        elif spec.mode == "open":
+            results = runner.run(stack.workload, block=False)
         else:
-            results = engine.run(workload, block=(args.mode == "closed"))
-        stats = engine.stats()
+            results = runner.run(stack.workload)
+        stats = runner.stats()
     served = sum(1 for r in results if r is not None)
-    mode_label = "async" if args.use_async else f"{args.mode}-loop"
     out.write(
-        f"workload : {args.requests} requests over {len(pool)} distinct "
-        f"questions (zipf skew {args.zipf}, {mode_label})\n"
+        f"workload : {spec.requests} requests over {len(stack.pool)} distinct "
+        f"questions (zipf skew {spec.zipf}, {label})\n"
     )
-    out.write(f"served   : {served}/{len(workload)}\n")
+    out.write(f"served   : {served}/{len(stack.workload)}\n")
     out.write(stats.format() + "\n")
     if journal is not None and journal.disabled:
         out.write(
@@ -831,7 +648,7 @@ def _cmd_serve_bench(args, out) -> int:
         for event in driver.events:
             kinds[event.kind] = kinds.get(event.kind, 0) + 1
         mix = ", ".join(f"{k}={v}" for k, v in sorted(kinds.items()))
-        live = engine.livedata_stats
+        live = runner.livedata_stats
         out.write(f"mutations: {len(driver.events)} applied ({mix})\n")
         out.write(
             f"livedata : stale_detected={live['stale_detected']} "
@@ -845,37 +662,48 @@ def _cmd_serve_bench(args, out) -> int:
             f"catchup {reindexer.total_catchup_seconds:.3f}s (virtual)\n"
         )
         reindexer.close()
-    if tiered is not None:
-        out.write(f"routing  : {tiered.routing_stats()}\n")
-    if llm_injector is not None:
-        out.write(f"llm faults : {llm_injector.stats.fault_counts()}\n")
-    if db_stats is not None:
-        out.write(f"db faults  : {db_stats.fault_counts()}\n")
+    if spec.routing and not args.shards:
+        out.write(f"routing  : {stack.pipeline.routing_stats()}\n")
+    if stack.llm_faults is not None:
+        out.write(f"llm faults : {stack.llm_faults.stats.fault_counts()}\n")
+    if stack.db_faults is not None:
+        out.write(f"db faults  : {stack.db_faults.fault_counts()}\n")
     if metrics is not None:
         from pathlib import Path
 
+        if args.shards:
+            metrics = runner.merged_metrics()
         target = Path(args.metrics_out)
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(metrics.to_json() + "\n")
         out.write(f"metrics  : wrote snapshot to {args.metrics_out}\n")
-    if args.report_out and journal is not None:
+    if args.report_out:
         # The journal is complete here, so recover_run replays it without
         # re-running anything; scoring goes through a clean pipeline (no
-        # chaos wrappers) so the report reflects what was served.
-        clean = _build_pipeline(benchmark, args)
-        if tiered is not None:
-            from repro.routing import RoutingConfig, TieredPipeline
-
-            clean = TieredPipeline(
-                clean, RoutingConfig.from_dict(tiered.routing_config.to_dict())
-            )
-        outcomes = recover_run(
-            journal, clean, workload, result_cache_size=cache_size
-        )
-        report = assemble_report(outcomes, workload, clean)
+        # chaos wrappers) so the report reflects what was served.  A
+        # sharded run is scored through the merged view of its segments,
+        # on the same path, so the two reports are byte-comparable.
+        if args.shards:
+            journal = ShardedJournalView(args.journal)
+        clean = stack.clean_pipeline()
+        report = _finish(journal, stack, clean, clean)
         _write_deterministic_report(report, args.report_out)
         out.write(f"report   : wrote {args.report_out} (EX {report.ex:.1f})\n")
     return 0
+
+
+def _finish(journal, stack, pipeline, scoring, deadline_seconds=None):
+    """Finish the journaled run on ``pipeline`` and score it on ``scoring``."""
+    from repro.serving import assemble_report, recover_run
+
+    outcomes = recover_run(
+        journal,
+        pipeline,
+        stack.workload,
+        result_cache_size=stack.spec.result_cache_size,
+        deadline_seconds=deadline_seconds,
+    )
+    return assemble_report(outcomes, stack.workload, scoring)
 
 
 def _write_deterministic_report(report, path) -> None:
@@ -899,10 +727,8 @@ def _cmd_recover(args, out) -> int:
         JournalVersionError,
         ServingJournal,
         ShardedJournalView,
-        assemble_report,
-        recover_run,
     )
-    from repro.serving.workload import zipf_workload
+    from repro.serving.hedging import hedge_executors
 
     if args.dry_run:
         return _recover_dry_run(args.journal, out)
@@ -927,58 +753,33 @@ def _cmd_recover(args, out) -> int:
     ) as exc:
         out.write(f"error: {exc}\n")
         return 2
-    config = journal.config
-    if not config:
+    header = journal.config
+    if not header:
         out.write(f"error: {args.journal} has no header record\n")
         return 2
     # The header pins everything needed to rebuild the exact run: the
-    # workload parameters and the pipeline's deterministic seeds.
-    for name in ("benchmark", "model", "candidates", "seed"):
-        if name in config:
-            setattr(args, name, config[name])
-    benchmark = _build_benchmark(args.benchmark)
-    pool = _select_pool(
-        benchmark.dev, config.get("distinct", 0), config.get("pool", "prefix")
-    )
-    workload = zipf_workload(
-        pool,
-        requests=config.get("requests", len(pool)),
-        skew=config.get("zipf", 1.2),
-        seed=args.seed,
-    )
-    recorded_profile = config.get("skill_profile")
-    if recorded_profile is not None and recorded_profile != args.model:
-        out.write(
-            f"error: journal header is inconsistent — skill_profile "
-            f"{recorded_profile!r} != model {args.model!r}; refusing to "
-            f"replay under a different model tier\n"
-        )
+    # workload, the pipeline's deterministic seeds and every serving
+    # setting.  A header this version cannot rebuild, or a routed run
+    # this process would route differently, is refused.
+    try:
+        stack = build(RunSpec.from_header(header))
+        stack.check_tier_mix(header)
+    except SpecError as exc:
+        out.write(f"error: {exc}\n")
         return 2
-    pipeline = _build_pipeline(benchmark, args)
-    if config.get("routing"):
-        from repro.routing import RoutingConfig, TieredPipeline
-
-        pipeline = TieredPipeline(
-            pipeline, RoutingConfig.from_dict(config.get("routing_config", {}))
-        )
-        recorded_mix = config.get("tier_mix")
-        if recorded_mix is not None:
-            recomputed = pipeline.tier_mix(workload)
-            if recomputed != recorded_mix:
-                out.write(
-                    f"error: routed tier mix diverged — journal recorded "
-                    f"{recorded_mix}, this process routes {recomputed}; "
-                    f"refusing to replay under a different tier mix\n"
-                )
-                return 2
+    spec = stack.spec
+    pipeline = stack.pipeline
+    if spec.hedge_seconds:
+        # the hedge the run's engine installed (recover_run has no engine)
+        hedge_executors(pipeline, spec.hedge_seconds)
     pending_before = len(journal.pending())
     committed_before = len(journal)
     try:
-        outcomes = recover_run(
-            journal,
-            pipeline,
-            workload,
-            result_cache_size=config.get("result_cache_size", 512),
+        # Recovery serves on the recorded stack, chaos included, and
+        # scores on a clean one: gold SQL must never draw an injected fault.
+        report = _finish(
+            journal, stack, pipeline, stack.clean_pipeline(),
+            spec.deadline_seconds,
         )
     except CrossEpochReplayError as exc:
         # Committed records carry schema_epoch stamps this catalog can't
@@ -987,7 +788,6 @@ def _cmd_recover(args, out) -> int:
         # world that no longer exists.  --dry-run shows the stamps.
         out.write(f"error: cross-epoch replay refused — {exc}\n")
         return 2
-    report = assemble_report(outcomes, workload, pipeline)
     if sharded:
         shares = ", ".join(
             f"shard{shard}={count}"
@@ -996,9 +796,14 @@ def _cmd_recover(args, out) -> int:
         out.write(f"segments : {len(journal.segments)} ({shares})\n")
     out.write(
         f"journal  : {committed_before} committed, {pending_before} pending, "
-        f"{len(workload) - committed_before} to finish\n"
+        f"{len(stack.workload) - committed_before} to finish\n"
     )
-    out.write(f"recovered: {len(outcomes)}/{len(workload)} requests\n")
+    out.write(f"recovered: {report.count}/{len(stack.workload)} requests\n")
+    hazards = spec.replay_hazards()
+    if hazards:
+        # Finished exactly once, but not replayable byte for byte: see
+        # RunSpec.replay_hazards.
+        out.write(f"replay   : not certifiable ({', '.join(hazards)})\n")
     if report.meta.get("tier_mix"):
         out.write(f"tier mix : {report.meta['tier_mix']}\n")
     out.write(f"EX       : {report.ex:.1f}\n")
@@ -1208,41 +1013,11 @@ def _cmd_drift_fuzz(args, out) -> int:
 
 
 def _cmd_trace(args, out) -> int:
-    from repro.serving import ServingEngine
-
-    benchmark = _build_benchmark(args.benchmark)
-    examples = benchmark.split(args.split)
-    if args.question_id:
-        matches = [e for e in examples if e.question_id == args.question_id]
-        if not matches:
-            out.write(f"error: no question {args.question_id!r} in {args.split}\n")
-            return 2
-        example = matches[0]
-    else:
-        example = examples[0]
-    pipeline = _build_pipeline(benchmark, args)
-
-    if args.fault_rate > 0:
-        from repro.execution import DbFaultPlan, FaultInjectingExecutor
-        from repro.reliability import FaultInjectingLLM, FaultPlan, ResilientLLM
-
-        injector = FaultInjectingLLM(
-            pipeline.llm, FaultPlan.chaos(args.fault_rate), seed=args.seed
-        )
-        pipeline.rebind_llm(ResilientLLM(injector, seed=args.seed))
-        db_plan = DbFaultPlan.chaos(args.fault_rate)
-        pipeline.set_executor_wrapper(
-            lambda executor, db_id: FaultInjectingExecutor(
-                executor, db_plan, seed=args.seed
-            )
-        )
-
-    with ServingEngine(
-        pipeline,
-        workers=1,
-        tracing=True,
-        deadline_seconds=(args.deadline_ms / 1000.0) or None,
-    ) as engine:
+    stack = build(RunSpec.from_args(args))
+    example = _pick_example(stack.benchmark, args, out)
+    if example is None:
+        return 2
+    with stack.engine(workers=1, tracing=True) as engine:
         engine.answer(example)
         trace = engine.last_trace()
     if args.json:
@@ -1265,7 +1040,7 @@ def _cmd_route_bench(args, out) -> int:
 
     from repro.routing import TieredPipeline
 
-    benchmark = _build_benchmark(args.benchmark)
+    benchmark = resolve_benchmark(args.benchmark)
     examples = (
         mini_dev(benchmark, size=args.size)
         if args.benchmark == "bird"
@@ -1339,22 +1114,11 @@ def _cmd_route_bench(args, out) -> int:
 
 def _cmd_metrics(args, out) -> int:
     from repro.observability import MetricsRegistry
-    from repro.serving import ServingEngine
-    from repro.serving.workload import zipf_workload
 
-    benchmark = _build_benchmark(args.benchmark)
-    pool = benchmark.dev
-    if args.distinct:
-        pool = pool[: args.distinct]
-    workload = zipf_workload(
-        pool, requests=args.requests, skew=args.zipf, seed=args.seed
-    )
-    pipeline = _build_pipeline(benchmark, args)
+    stack = build(RunSpec.from_args(args))
     registry = MetricsRegistry()
-    with ServingEngine(
-        pipeline, workers=args.workers, metrics=registry
-    ) as engine:
-        engine.run(workload)
+    with stack.engine(metrics=registry) as engine:
+        engine.run(stack.workload)
     if args.format == "json":
         out.write(registry.to_json() + "\n")
     elif args.format == "jsonl":

@@ -23,7 +23,7 @@ routers reproducible.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -83,18 +83,8 @@ class RoutingConfig:
     seed: Optional[int] = None
 
     def to_dict(self) -> dict:
-        """JSON-ready view (journal headers, cluster wire config)."""
-        return {
-            "fast_model": self.fast_model,
-            "heavy_model": self.heavy_model,
-            "fast_max": self.fast_max,
-            "heavy_min": self.heavy_min,
-            "neighbor_k": self.neighbor_k,
-            "fast_candidates": self.fast_candidates,
-            "vote_floor": self.vote_floor,
-            "jitter": self.jitter,
-            "seed": self.seed,
-        }
+        """JSON-ready view of every field."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RoutingConfig":

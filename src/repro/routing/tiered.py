@@ -233,6 +233,10 @@ class TieredPipeline:
     def executor(self, db_id: str):
         return self.base.executor(db_id)
 
+    @property
+    def executor_wrapper(self):
+        return self.base.executor_wrapper
+
     def set_executor_wrapper(self, wrapper) -> None:
         self.base.set_executor_wrapper(wrapper)
 

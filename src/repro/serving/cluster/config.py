@@ -1,27 +1,26 @@
 """Cluster configuration and the JSON wire codec shared by both sides.
 
 Workers run in *spawned* processes: nothing is inherited, so everything a
-worker needs to rebuild its half of the system — benchmark, model skill,
-pipeline seeds, engine sizing, journal segment location — must cross the
-process boundary as plain JSON-ready data.  :class:`ClusterConfig` is
-that contract; :func:`example_to_wire` / :func:`example_from_wire` carry
-individual requests the same way (no pickled live objects).
+worker needs to rebuild its half of the system — the run's
+:class:`~repro.serving.spec.RunSpec`, the journal segment location, the
+supervision settings — must cross the process boundary as plain
+JSON-ready data.  :class:`ClusterConfig` is that contract;
+:func:`example_to_wire` / :func:`example_from_wire` carry individual
+requests the same way (no pickled live objects).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional
 
 from repro.datasets.types import Example, ValueMention
+from repro.serving.spec import RunSpec
 
 __all__ = [
     "ClusterConfig",
     "SEGMENT_PREFIX",
     "segment_name",
-    "resolve_benchmark",
-    "build_worker_pipeline",
     "example_to_wire",
     "example_from_wire",
 ]
@@ -42,11 +41,9 @@ class ClusterConfig:
 
     #: number of worker processes / journal segments
     shards: int = 2
-    #: benchmark name workers rebuild ("bird", "spider", "cluster-smoke")
-    benchmark: str = "bird"
-    model: str = "gpt-4o"
-    candidates: int = 21
-    seed: int = 0
+    #: the served run: every worker rebuilds its stack with
+    #: ``build(spec)``, and every segment header records it
+    spec: RunSpec = field(default_factory=RunSpec)
     #: journal directory; each shard appends to its own segment inside it
     journal_dir: str = ""
     #: virtual nodes per shard on the consistent-hash ring
@@ -54,14 +51,6 @@ class ClusterConfig:
     #: threads inside each worker's ServingEngine; 1 keeps per-shard
     #: processing serial, which the byte-identical recovery cert relies on
     engine_workers: int = 1
-    queue_capacity: int = 4096
-    result_cache_size: int = 512
-    extraction_cache_size: int = 1024
-    fewshot_cache_size: int = 1024
-    #: end-to-end deadline per request in seconds (None = unbounded);
-    #: the coordinator subtracts queue time before forwarding, so the
-    #: budget spans the process boundary
-    deadline_seconds: Optional[float] = None
     #: worker → coordinator heartbeat period (seconds)
     heartbeat_interval: float = 0.2
     #: missing heartbeats for this long marks a worker dead even if its
@@ -77,15 +66,6 @@ class ClusterConfig:
     #: wall-clock ceiling for one request end to end (safety net so a
     #: supervision bug degrades to a typed failure, never a hang)
     request_timeout: float = 120.0
-    #: route requests through FAST/FULL/HEAVY cost tiers inside every
-    #: worker; the router is deterministic by seed, so each shard routes
-    #: its partition exactly as a single process would
-    routing: bool = False
-    #: RoutingConfig overrides as a plain dict (JSON wire format)
-    routing_config: dict = field(default_factory=dict)
-    #: extra header fields journaled per segment (the CLI records the
-    #: workload parameters here so ``repro recover`` can rebuild the run)
-    header: dict = field(default_factory=dict)
     #: storage fault-injection plan for each worker's journal segment
     #: (:class:`repro.storage.StorageFaultPlan` fields, plus an optional
     #: ``seed``); empty dict = real, fault-free filesystem
@@ -114,25 +94,12 @@ class ClusterConfig:
         return Path(self.journal_dir) / segment_name(shard)
 
     def header_config(self, shard: int) -> dict:
-        """The header record shard ``shard`` writes to its segment."""
-        header = {
-            "benchmark": self.benchmark,
-            "model": self.model,
-            "skill_profile": self.model,
-            "candidates": self.candidates,
-            "seed": self.seed,
-            "result_cache_size": self.result_cache_size,
-            "shards": self.shards,
-            "ring_vnodes": self.ring_vnodes,
-            "shard": shard,
-        }
-        if self.routing:
-            header["routing"] = True
-            header["routing_config"] = dict(self.routing_config)
+        """The header record shard ``shard`` writes to its segment: the
+        spec plus the placement keys."""
+        header = self.spec.to_header()
+        header.update(shards=self.shards, ring_vnodes=self.ring_vnodes, shard=shard)
         if self.livedata:
-            header["livedata"] = True
-            header["schema_epochs"] = dict(self.schema_epochs)
-        header.update(self.header)
+            header.update(livedata=True, schema_epochs=dict(self.schema_epochs))
         return header
 
     def to_dict(self) -> dict:
@@ -140,68 +107,7 @@ class ClusterConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ClusterConfig":
-        return cls(**payload)
-
-
-def resolve_benchmark(name: str):
-    """Build the named benchmark inside a worker process.
-
-    ``"cluster-smoke"`` is a deterministic five-domain profile (~0.5 s to
-    build, five distinct ``db_id``s) used by the cluster test-suite so
-    spawned workers do not pay the full BIRD build on every test.
-    """
-    if name == "bird":
-        from repro.datasets.bird import build_bird_like
-
-        return build_bird_like()
-    if name == "spider":
-        from repro.datasets.spider import build_spider_like
-
-        return build_spider_like()
-    if name == "cluster-smoke":
-        from repro.datasets.build import build_benchmark
-        from repro.datasets.domains.finance import DOMAIN as FINANCE
-        from repro.datasets.domains.healthcare import DOMAIN as HEALTHCARE
-        from repro.datasets.domains.hockey import DOMAIN as HOCKEY
-        from repro.datasets.domains.music import DOMAIN as MUSIC
-        from repro.datasets.domains.retail import DOMAIN as RETAIL
-
-        return build_benchmark(
-            name="cluster-smoke",
-            domains=[HEALTHCARE, HOCKEY, FINANCE, MUSIC, RETAIL],
-            per_template_train=2,
-            per_template_dev=1,
-            per_template_test=1,
-            seed=3,
-        )
-    raise ValueError(f"unknown benchmark {name!r}")
-
-
-def build_worker_pipeline(config: ClusterConfig):
-    """(benchmark, pipeline) for one worker, from config alone."""
-    from repro.core.config import PipelineConfig
-    from repro.core.pipeline import OpenSearchSQL
-    from repro.llm.simulated import SimulatedLLM
-    from repro.llm.skills import skill_by_name
-
-    benchmark = resolve_benchmark(config.benchmark)
-    llm = SimulatedLLM(skill_by_name(config.model), seed=config.seed)
-    pipeline = OpenSearchSQL(
-        benchmark,
-        llm,
-        PipelineConfig(n_candidates=config.candidates, seed=config.seed),
-    )
-    if config.routing:
-        from repro.routing import RoutingConfig, TieredPipeline
-
-        # Router state is per-shard but deterministic by seed: every
-        # worker (and a recovery process) routes any given request to the
-        # same tier, so a rebalanced or recovered cluster stays
-        # tier-faithful.
-        pipeline = TieredPipeline(
-            pipeline, RoutingConfig.from_dict(config.routing_config)
-        )
-    return benchmark, pipeline
+        return cls(**{**payload, "spec": RunSpec(**payload["spec"])})
 
 
 # ------------------------------------------------------------- wire codec

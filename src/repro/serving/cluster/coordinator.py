@@ -303,12 +303,10 @@ class ShardCoordinator:
 
     def _send_request(self, handle: _WorkerHandle, request: _Request) -> None:
         handle.outstanding[request.seq] = request
-        deadline_remaining = None
-        if self.config.deadline_seconds is not None:
+        deadline_remaining = deadline = self.config.spec.deadline_seconds
+        if deadline is not None:
             elapsed = time.monotonic() - request.enqueued_at
-            deadline_remaining = max(
-                self.config.deadline_seconds - elapsed, 1e-3
-            )
+            deadline_remaining = max(deadline - elapsed, 1e-3)
         message = {
             "type": "request",
             "seq": request.seq,

@@ -1,8 +1,9 @@
 """The shard worker process.
 
 ``worker_main`` is the spawn entry point: it rebuilds its whole serving
-stack from :class:`~repro.serving.cluster.config.ClusterConfig` (nothing
-is inherited from the coordinator), opens the shard's own journal
+stack with :func:`~repro.serving.spec.build` from the run spec in its
+:class:`~repro.serving.cluster.config.ClusterConfig` (nothing is
+inherited from the coordinator), opens the shard's own journal
 segment ``journal-shard-K.jsonl``, warms the result cache from any
 committed records already in it (that is per-shard journal recovery —
 a SIGKILLed-and-restarted worker resumes with the cache state its
@@ -45,12 +46,11 @@ stand in for a response that never arrived.
 from __future__ import annotations
 
 import threading
-from typing import Optional
 
 from repro.observability.metrics import MetricsRegistry
-from repro.serving.cluster.config import ClusterConfig, build_worker_pipeline
-from repro.serving.engine import ServingEngine
+from repro.serving.cluster.config import ClusterConfig
 from repro.serving.journal import JournalCorruptionError, ServingJournal
+from repro.serving.spec import build
 from repro.storage.faults import FaultyStorage, StorageFaultPlan
 
 __all__ = ["worker_main", "warm_engine_from_segment"]
@@ -110,16 +110,16 @@ def worker_main(worker_id: int, config_payload: dict, conn) -> None:
     heartbeat = _Heartbeat(worker_id, send, config.heartbeat_interval)
     heartbeat.start()
 
-    benchmark, pipeline = build_worker_pipeline(config)
+    stack = build(config.spec)
     example_index = {
         example.question_id: example
         for split in ("train", "dev", "test")
-        for example in benchmark.split(split)
+        for example in stack.benchmark.split(split)
     }
     opener = None
     if config.storage:
         plan = StorageFaultPlan.from_dict(config.storage)
-        seed = config.storage.get("seed", config.seed)
+        seed = config.storage.get("seed", config.spec.seed)
         opener = FaultyStorage(plan, seed=seed).opener
 
     def on_storage_error(exc: OSError) -> None:
@@ -158,15 +158,8 @@ def worker_main(worker_id: int, config_payload: dict, conn) -> None:
         )
     journal.write_header(config.header_config(worker_id))
     metrics = MetricsRegistry()
-    engine = ServingEngine(
-        pipeline,
-        workers=config.engine_workers,
-        queue_capacity=config.queue_capacity,
-        result_cache_size=config.result_cache_size,
-        extraction_cache_size=config.extraction_cache_size,
-        fewshot_cache_size=config.fewshot_cache_size,
-        journal=journal,
-        metrics=metrics,
+    engine = stack.engine(
+        workers=config.engine_workers, journal=journal, metrics=metrics
     )
     registry = None
     if config.livedata:

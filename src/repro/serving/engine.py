@@ -59,7 +59,7 @@ from repro.livedata.epoch import EpochRegistry
 from repro.livedata.errors import StaleCatalogError
 from repro.livedata.guard import EpochGuardExecutor, EpochPins
 from repro.serving.health import HealthMonitor
-from repro.serving.hedging import HedgedExecutor, HedgeStats
+from repro.serving.hedging import HedgeStats, hedge_executors
 from repro.serving.journal import ServingJournal
 from repro.serving.latency import LatencySummary
 from repro.serving.stats import RequestRecord, ServingStats
@@ -278,23 +278,9 @@ class ServingEngine:
             pipeline.library = CachingFewShotLibrary(
                 pipeline.library, self.fewshot_cache
             )
-        # Hedged SQL execution composes with any wrapper already installed
-        # (e.g. a chaos bench's fault injector): the hedge wraps outermost
-        # so it sees — and can recover — injected faults.
         self.hedge_stats: Optional[HedgeStats] = None
         if hedge_threshold is not None:
-            self.hedge_stats = HedgeStats()
-            previous = pipeline.executor_wrapper
-
-            def _hedged(executor, db_id):
-                inner = previous(executor, db_id) if previous else executor
-                return HedgedExecutor(
-                    inner,
-                    threshold_seconds=hedge_threshold,
-                    stats=self.hedge_stats,
-                )
-
-            pipeline.set_executor_wrapper(_hedged)
+            self.hedge_stats = hedge_executors(pipeline, hedge_threshold)
         self.health.register_probe(
             "breaker", lambda: {"state": self.admission.breaker.state.value}
         )

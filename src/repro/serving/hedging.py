@@ -37,7 +37,7 @@ from repro.observability.context import add_event
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.reliability.deadline import Deadline
 
-__all__ = ["HedgeStats", "HedgedExecutor"]
+__all__ = ["HedgeStats", "HedgedExecutor", "hedge_executors"]
 
 
 @dataclass
@@ -176,3 +176,21 @@ class HedgedExecutor:
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
+
+
+def hedge_executors(pipeline, threshold_seconds: float) -> HedgeStats:
+    """Hedge every executor ``pipeline`` hands out; return their shared stats.
+
+    The hedge composes with any wrapper already installed (e.g. a chaos
+    fault injector): it wraps outermost so it sees — and can recover —
+    injected faults.
+    """
+    stats = HedgeStats()
+    previous = pipeline.executor_wrapper
+
+    def hedged(executor, db_id):
+        inner = previous(executor, db_id) if previous else executor
+        return HedgedExecutor(inner, threshold_seconds=threshold_seconds, stats=stats)
+
+    pipeline.set_executor_wrapper(hedged)
+    return stats

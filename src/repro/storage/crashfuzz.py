@@ -190,27 +190,22 @@ def build_campaign(config, shards: int = 1):
     spread across databases so the ring actually partitions the workload
     over all shards.
     """
-    from repro.serving.cluster.config import ClusterConfig, build_worker_pipeline
-    from repro.serving.workload import spread_pool, zipf_workload
+    from repro.serving.cluster.config import ClusterConfig
+    from repro.serving.spec import RunSpec, build
 
-    routing_config: dict = {}
-    if config.routing:
-        from repro.routing import RoutingConfig
-
-        routing_config = RoutingConfig().to_dict()
-    cluster = ClusterConfig(
-        shards=shards,
+    spec = RunSpec(
         benchmark=config.benchmark,
         candidates=config.candidates,
         seed=config.seed,
-        journal_dir="unused",  # log paths come from the fuzz workdir
         routing=config.routing,
-        routing_config=routing_config,
+        requests=config.requests,
+        distinct=config.distinct,
+        pool="spread",
     )
-    benchmark, pipeline = build_worker_pipeline(cluster)
-    pool = spread_pool(benchmark.dev, config.distinct)
-    workload = zipf_workload(pool, requests=config.requests, seed=config.seed)
-    return workload, pipeline, cluster
+    stack = build(spec)
+    # log paths come from the fuzz workdir, not the cluster's journal_dir
+    cluster = ClusterConfig(shards=shards, journal_dir="unused", spec=spec)
+    return stack.workload, stack.pipeline, cluster
 
 
 def _write_reference(config, cluster, pipeline, workload, ref_dir: Path):

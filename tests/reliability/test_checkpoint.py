@@ -305,6 +305,49 @@ class TestResume:
         assert resumed.cost.summary() == first.cost.summary()
 
 
+class TestEveryCut:
+    def test_every_power_cut_resumes_to_the_uninterrupted_report(
+        self, rel_pipeline, tiny_benchmark, tmp_path, monkeypatch
+    ):
+        """Cut the checkpoint after every append, clean and torn, and
+        resume each cut: every resumed report equals the uninterrupted
+        run's, and no example is recorded twice."""
+        import repro.evaluation.runner as runner
+        from repro.storage.crashfuzz import RecordingOpener
+        from repro.storage.format import scan_file
+
+        examples = tiny_benchmark.dev[:8]
+        reference = tmp_path / "reference.jsonl"
+        recording = RecordingOpener()
+
+        class RecordedCheckpoint(EvalCheckpoint):
+            def __init__(self, path):
+                super().__init__(path, opener=recording)
+
+        monkeypatch.setattr(runner, "EvalCheckpoint", RecordedCheckpoint)
+        expected = evaluate_pipeline(
+            rel_pipeline, examples, name="ref", checkpoint_path=reference
+        ).deterministic_dict()
+        monkeypatch.undo()
+        data = reference.read_bytes()
+        assert len(recording.log) == len(examples)  # one append per example
+
+        cuts = list(recording.cuts())
+        assert len(cuts) == 2 * len(examples) + 1  # every clean and torn cut
+        for cut_id, _kind, lengths in cuts:
+            path = tmp_path / f"{cut_id}.jsonl"
+            path.write_bytes(data[: lengths.get(reference.name, 0)])
+            resumed = evaluate_pipeline(
+                rel_pipeline, examples, name="ref", checkpoint_path=path
+            )
+            assert resumed.deterministic_dict() == expected, cut_id
+            scan = scan_file(path)
+            assert not scan.issues, cut_id
+            assert [record["question_id"] for record in scan.parsed] == [
+                example.question_id for example in examples
+            ], cut_id
+
+
 class TestSystemRunner:
     class GoldSystem:
         name = "gold-echo"

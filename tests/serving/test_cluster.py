@@ -16,6 +16,7 @@ keeps workloads small.  The certification story:
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -29,15 +30,12 @@ from repro.serving import (
     assemble_report,
     recover_run,
 )
-from repro.serving.cluster.config import (
-    build_worker_pipeline,
-    example_from_wire,
-    example_to_wire,
-    resolve_benchmark,
-)
+from repro.serving.cluster.config import example_from_wire, example_to_wire
+from repro.serving.spec import RunSpec, build, resolve_benchmark
 from repro.serving.workload import zipf_workload
 
 CANDIDATES = 3
+SPEC = RunSpec(benchmark="cluster-smoke", candidates=CANDIDATES)
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +57,7 @@ def smoke_workload(smoke_benchmark):
 def cluster_config(tmp_path, **overrides):
     defaults = dict(
         shards=3,
-        benchmark="cluster-smoke",
-        candidates=CANDIDATES,
+        spec=SPEC,
         journal_dir=str(tmp_path / "segments"),
         backoff_base=0.05,
     )
@@ -70,16 +67,14 @@ def cluster_config(tmp_path, **overrides):
 
 def reference_doc(tmp_path, workload):
     """Deterministic report of an undisturbed single-process run."""
-    config = cluster_config(tmp_path, shards=1,
-                            journal_dir=str(tmp_path / "reference"))
-    _, pipeline = build_worker_pipeline(config)
+    stack = build(SPEC)
     journal = ServingJournal(tmp_path / "reference" / "single.jsonl")
     engine = ServingEngine(
-        pipeline, workers=1, result_cache_size=512, journal=journal
+        stack.pipeline, workers=1, result_cache_size=512, journal=journal
     )
     with engine:
         engine.run(workload)
-    _, clean = build_worker_pipeline(config)
+    clean = stack.clean_pipeline()
     outcomes = recover_run(
         ServingJournal(tmp_path / "reference" / "single.jsonl"), clean, workload
     )
@@ -89,7 +84,7 @@ def reference_doc(tmp_path, workload):
 
 def recovered_doc(config, workload):
     view = ShardedJournalView(config.journal_dir)
-    _, clean = build_worker_pipeline(config)
+    clean = build(config.spec).clean_pipeline()
     outcomes = recover_run(view, clean, workload)
     report = assemble_report(outcomes, workload, clean)
     return json.dumps(report.deterministic_dict(), sort_keys=True)
@@ -103,8 +98,9 @@ class TestWireCodec:
             ) == example
 
     def test_config_round_trips(self, tmp_path):
-        config = cluster_config(tmp_path, deadline_seconds=12.5,
-                                header={"requests": 16})
+        config = cluster_config(
+            tmp_path, spec=replace(SPEC, deadline_ms=12500.0, requests=16)
+        )
         rebuilt = ClusterConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert rebuilt == config
 
@@ -279,7 +275,9 @@ class TestClusterServing:
         # can only happen if the coordinator forwarded the budget to the
         # worker's engine.
         pool = smoke_benchmark.split("dev")[:2]
-        config = cluster_config(tmp_path, shards=1, deadline_seconds=0.25)
+        config = cluster_config(
+            tmp_path, shards=1, spec=replace(SPEC, deadline_ms=250.0)
+        )
         with ShardCoordinator(config) as coordinator:
             results = coordinator.run(pool)
         assert all(r is not None for r in results)

@@ -1,16 +1,33 @@
 """CLI tests (fast paths only; heavy sweeps are covered by benches)."""
 
 import io
+import json
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.serving import ServingJournal
+from repro.serving.spec import RunSpec
+from repro.storage.format import encode_record
 
 
 def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def rewrite_header(source, target, edit):
+    """Copy a journal to ``target`` with ``edit`` applied to its header
+    config, re-framed so the edit is not read as damage."""
+    lines = source.read_text().splitlines()
+    record = json.loads(lines[0])
+    record.pop("crc")
+    rec = record.pop("rec")
+    edit(record["config"])
+    lines[0] = encode_record(record, rec)
+    target.write_text("\n".join(lines) + "\n")
+    return target
 
 
 class TestParser:
@@ -276,6 +293,134 @@ class TestServeBenchRobustness:
         snapshot = metrics_path.read_text()
         assert "repro_storage_journal_disabled_total" in snapshot
         assert "repro_storage_write_errors_total" in snapshot
+
+
+class TestServeBenchPartnerFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("--report-out", "report.json"), "--report-out"),
+            (("--kill-after", "1"), "--kill-after"),
+            (("--storage-enospc-after", "1"), "--storage-enospc-after"),
+            (("--kill-worker", "0"), "--kill-worker"),
+            (("--report-out", "report.json", "--kill-after", "1",
+              "--storage-enospc-after", "1"), "--report-out"),
+        ],
+        ids=["report-out", "kill-after", "enospc-after", "kill-worker", "all"],
+    )
+    def test_flag_without_its_partner_is_refused(
+        self, argv, flag, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, text = run_cli(
+            "--candidates", "3", "serve-bench",
+            "--requests", "4", "--distinct", "2", *argv,
+        )
+        assert code == 2
+        assert text.startswith(f"error: {flag} requires --")
+        assert len(text.strip().splitlines()) == 1
+        assert not (tmp_path / "report.json").exists()
+
+
+@pytest.fixture(scope="module")
+def plain_journal(tmp_path_factory):
+    path = tmp_path_factory.mktemp("plain") / "serve.jsonl"
+    code, _ = run_cli(
+        "--candidates", "3", "serve-bench",
+        "--workers", "1", "--requests", "4", "--distinct", "2",
+        "--journal", str(path),
+    )
+    assert code == 0
+    return path
+
+
+class TestRecoverRefusals:
+    def assert_refused(self, journal, phrase):
+        code, text = run_cli("recover", "--journal", str(journal))
+        assert code == 2
+        assert text.startswith("error: ")
+        assert phrase in text
+        assert len(text.strip().splitlines()) == 1  # no traceback
+
+    def test_skill_profile_differing_from_model(self, plain_journal, tmp_path):
+        journal = rewrite_header(
+            plain_journal, tmp_path / "j.jsonl",
+            lambda config: config.update(skill_profile="gpt-4"),
+        )
+        self.assert_refused(journal, "skill_profile 'gpt-4' != model 'gpt-4o'")
+
+    def test_edited_tier_mix(self, tmp_path):
+        routed = tmp_path / "routed.jsonl"
+        code, _ = run_cli(
+            "--candidates", "3", "serve-bench", "--routing",
+            "--workers", "1", "--requests", "4", "--distinct", "2",
+            "--journal", str(routed),
+        )
+        assert code == 0
+
+        def edit(config):
+            mix = config["tier_mix"]
+            mix["heavy"] = mix.get("heavy", 0) + 1
+
+        journal = rewrite_header(routed, tmp_path / "j.jsonl", edit)
+        self.assert_refused(journal, "routed tier mix diverged")
+
+    def test_header_key_it_cannot_rebuild(self, plain_journal, tmp_path):
+        journal = rewrite_header(
+            plain_journal, tmp_path / "j.jsonl",
+            lambda config: config.update(fault_plan={"timeout": 0.4}),
+        )
+        self.assert_refused(journal, "fault_plan cannot be rebuilt")
+
+
+class TestRecoverRebuildsTheRecordedStack:
+    def test_header_records_chaos_deadline_hedge_and_backends(self, tmp_path):
+        journal_path = tmp_path / "serve.jsonl"
+        code, _ = run_cli(
+            "--candidates", "3", "serve-bench",
+            "--workers", "1", "--requests", "4", "--distinct", "2",
+            "--fault-rate", "0.3", "--deadline-ms", "60000",
+            "--hedge-ms", "500", "--backends", "2",
+            "--journal", str(journal_path),
+        )
+        assert code == 0
+        assert RunSpec.from_header(ServingJournal(journal_path).config) == RunSpec(
+            candidates=3, workers=1, requests=4, distinct=2, fault_rate=0.3,
+            deadline_ms=60000.0, hedge_ms=500.0, backends=2,
+        )
+
+    def test_killed_chaos_run_finishes_once_but_is_not_certifiable(
+        self, tmp_path
+    ):
+        journal_path = tmp_path / "chaos.jsonl"
+        code, _ = run_cli(
+            "--candidates", "3", "serve-bench",
+            "--workers", "1", "--requests", "8", "--distinct", "4",
+            "--fault-rate", "0.4", "--journal", str(journal_path),
+        )
+        assert code == 0
+        # cut after the second commit: what a SIGKILL there leaves behind
+        lines = journal_path.read_text().splitlines()
+        commits = [
+            i for i, line in enumerate(lines) if '"type": "committed"' in line
+        ]
+        journal_path.write_text("\n".join(lines[: commits[1] + 1]) + "\n")
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        code, text = run_cli(
+            "recover", "--journal", str(journal_path),
+            "--report-out", str(first),
+        )
+        assert code == 0
+        assert "journal  : 2 committed" in text
+        assert "recovered: 8/8" in text
+        assert "replay   : not certifiable (fault_rate=0.4)" in text
+        code, text = run_cli(
+            "recover", "--journal", str(journal_path),
+            "--report-out", str(second),
+        )
+        assert code == 0
+        assert "8 committed, 0 pending, 0 to finish" in text
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestRecover:
