@@ -10,8 +10,9 @@ three acceptance properties on a fixed seed:
    fast path sidesteps the mini skill's CoT weakness on simples);
 2. **observability** — tier decisions and escalation events are visible
    end to end: per-example traces carry ``tier:*`` spans with cost
-   deltas, and a routed ServingEngine exports ``repro_routing_*``
-   counters plus a ``routing`` collector through its MetricsRegistry;
+   deltas, and a routed ServingEngine exports tier and escalation
+   counts once, through the ``routing`` collector of its MetricsRegistry
+   (``routing.final_tiers.*``, ``routing.tokens_by_tier.*``);
 3. **replay fidelity** — a journaled routing run killed mid-stream
    recovers to a byte-identical report: the router is deterministic by
    seed, so replay re-routes every uncommitted request to the same tier.
@@ -194,9 +195,11 @@ def test_routing_cost_tiers(benchmark, bird):
         tier_spans_seen.update(s.name for s in spans)
     assert "tier:fast" in tier_spans_seen and "tier:full" in tier_spans_seen
 
+    # tiers and tokens are counted once, by the pipeline; the routing
+    # collector exports them
     render = results["metrics_render"]
-    assert "repro_routing_tier_total" in render
-    assert "repro_routing_tokens_total" in render
+    assert "routing.final_tiers." in render
+    assert "routing.tokens_by_tier." in render
     assert "routing" in results["metrics_snapshot"]["collected"]
     engine_stats = results["engine_stats"]
     assert engine_stats.completed == JOURNAL_LOAD[0]

@@ -532,7 +532,6 @@ def _cmd_serve_bench(args, out) -> int:
     import os
     import signal
 
-    from repro.observability import MetricsRegistry
     from repro.serving import (
         ClusterConfig,
         ServingJournal,
@@ -546,7 +545,6 @@ def _cmd_serve_bench(args, out) -> int:
         return 2
     spec = RunSpec.from_args(args)
     stack = build(spec)
-    metrics = MetricsRegistry() if args.metrics_out else None
     storage = {}
     if args.storage_enospc_after > 0:
         storage = {"enospc_after": args.storage_enospc_after}
@@ -571,7 +569,7 @@ def _cmd_serve_bench(args, out) -> int:
             restart_budget=args.restart_budget,
             storage=storage,
         )
-        runner = ShardCoordinator(config, metrics=metrics, on_result=on_result)
+        runner = ShardCoordinator(config, on_result=on_result)
         label = f"{args.shards} shards"
     else:
         if args.journal:
@@ -591,7 +589,7 @@ def _cmd_serve_bench(args, out) -> int:
                         os.kill(os.getpid(), signal.SIGKILL)
 
                 journal.on_commit = _kill
-        runner = stack.engine(journal=journal, metrics=metrics)
+        runner = stack.engine(journal=journal)
         label = "async" if spec.use_async else f"{spec.mode}-loop"
 
     driver = reindexer = None
@@ -668,11 +666,10 @@ def _cmd_serve_bench(args, out) -> int:
         out.write(f"llm faults : {stack.llm_faults.stats.fault_counts()}\n")
     if stack.db_faults is not None:
         out.write(f"db faults  : {stack.db_faults.fault_counts()}\n")
-    if metrics is not None:
+    if args.metrics_out:
         from pathlib import Path
 
-        if args.shards:
-            metrics = runner.merged_metrics()
+        metrics = runner.merged_metrics() if args.shards else runner.metrics
         target = Path(args.metrics_out)
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(metrics.to_json() + "\n")
@@ -1113,12 +1110,10 @@ def _cmd_route_bench(args, out) -> int:
 
 
 def _cmd_metrics(args, out) -> int:
-    from repro.observability import MetricsRegistry
-
     stack = build(RunSpec.from_args(args))
-    registry = MetricsRegistry()
-    with stack.engine(metrics=registry) as engine:
+    with stack.engine() as engine:
         engine.run(stack.workload)
+    registry = engine.metrics
     if args.format == "json":
         out.write(registry.to_json() + "\n")
     elif args.format == "jsonl":

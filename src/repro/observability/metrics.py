@@ -1,17 +1,20 @@
 """Unified metrics registry: counters, gauges, histograms, collectors.
 
-Before this module every subsystem kept a free-floating stats object
-(``ServingStats``, ``ReliabilityStats``, ``HedgeStats``, ``CacheStats``,
-``HealthMonitor``) with its own ``to_dict``/``summary`` shape and no
-common export.  The registry gives them one spine:
+Every count has one home, the one place it is incremented.  What a
+serving engine or the shard coordinator observes itself (requests by
+status, deadline truncations, stale-catalog events, supervision events)
+lives only in that owner's registry instruments, and its ``stats()``
+reads them back.  What a component already counts (admission,
+bulkheads, caches, the micro-batcher, hedging, the backend pool,
+routing, the journal) stays in the component and reaches the export
+through a collector; no instrument mirrors it.
 
 * **instruments** — :class:`Counter` / :class:`Gauge` / :class:`Histogram`
   created through the registry, optionally labelled
   (``counter.labels(status="ok").inc()``), all guarded by one lock;
-* **collectors** — existing stats objects register a zero-argument
-  callable returning their summary dict; :meth:`MetricsRegistry.snapshot`
-  pulls and flattens them, so legacy stats surface in the unified export
-  without rewriting their accounting;
+* **collectors** — a component registers a zero-argument callable
+  returning its summary dict; :meth:`MetricsRegistry.snapshot` pulls and
+  flattens it into the same export;
 * **export** — :meth:`snapshot` (deterministically ordered nested dict),
   :meth:`to_json` / :meth:`to_jsonl` (one sample per line) and
   :meth:`render` (human-readable), consumed by ``python -m repro metrics``.
@@ -72,11 +75,14 @@ class _Instrument:
                 series = self._series[key] = self._new_series()
             return series
 
-    def _default_series(self) -> "_Series":
+    def _require_unlabelled(self) -> None:
         if self.labelnames:
             raise ValueError(
                 f"{self.name} declares labels {self.labelnames}; use .labels()"
             )
+
+    def _default_series(self) -> "_Series":
+        self._require_unlabelled()
         return self.labels()
 
     def _new_series(self):  # pragma: no cover - overridden
@@ -119,8 +125,20 @@ class Counter(_Instrument):
         self._default_series().inc(amount)
 
     def value(self) -> float:
-        """Current value of the unlabelled series."""
-        return self._default_series().value()
+        """Current value of the unlabelled series (0.0 before its first
+        :meth:`inc`).
+
+        Reads go through :meth:`samples`, never :meth:`labels`: a read
+        creates no series, so a snapshot's shape does not depend on who
+        read first.
+        """
+        self._require_unlabelled()
+        return sum(value for _, value in self.samples())
+
+    def counts(self) -> dict:
+        """A one-label counter's series as ``int`` counts keyed by label
+        value; like :meth:`value`, a read creates no series."""
+        return {key[0]: int(value) for key, value in self.samples()}
 
 
 class _GaugeSeries:
@@ -295,11 +313,22 @@ class MetricsRegistry:
         """Register a stats object's summary callable under ``name``.
 
         ``collect`` is pulled (and flattened) on every :meth:`snapshot`, so
-        the existing free-floating stats objects surface in the unified
-        export without changing how they accumulate.
+        a component's own counts surface in the unified export without an
+        instrument mirroring them.
         """
         with self._lock:
             self._collectors[name] = collect
+
+    def reset(self) -> None:
+        """Zero every instrument: each drops its series, as when created.
+
+        Collectors are left alone; they read counts their components keep.
+        """
+        with self._lock:
+            instruments = list(self._instruments.values())
+        for instrument in instruments:
+            with instrument._lock:
+                instrument._series.clear()
 
     # ------------------------------------------------------------ round-trip
 

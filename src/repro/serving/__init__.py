@@ -106,7 +106,7 @@ from repro.serving.journal import (
 from repro.serving.health import HealthMonitor
 from repro.serving.hedging import HedgedExecutor, HedgeStats
 from repro.serving.latency import LatencySummary, percentile
-from repro.serving.stats import RequestRecord, ServingStats
+from repro.serving.stats import ServingStats
 from repro.serving.workload import zipf_weights, zipf_workload
 
 __all__ = [
@@ -143,7 +143,6 @@ __all__ = [
     "LatencySummary",
     "QuarantinedError",
     "QueueFullError",
-    "RequestRecord",
     "ServingEngine",
     "ServingJournal",
     "ServingStats",

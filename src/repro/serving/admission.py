@@ -103,6 +103,9 @@ class AdmissionController:
         self._rng = random.Random(seed)
         self._cond = threading.Condition()
         self._pending = 0
+        #: admissions charged to ``max_requests`` (state: survives
+        #: :meth:`reset_counts`)
+        self._spent = 0
         self.closed = False
         self.submitted = 0
         self.admitted = 0
@@ -130,11 +133,11 @@ class AdmissionController:
             if self.closed:
                 self.rejected_draining += 1
                 raise DrainingError("engine is draining; no new requests admitted")
-            if self.max_requests is not None and self.admitted >= self.max_requests:
+            if self.max_requests is not None and self._spent >= self.max_requests:
                 self.rejected_budget += 1
                 raise BudgetExceededError(
                     f"request budget of {self.max_requests} exhausted",
-                    spent_calls=self.admitted,
+                    spent_calls=self._spent,
                 )
             if not self.breaker.allow():
                 self.rejected_open += 1
@@ -173,6 +176,7 @@ class AdmissionController:
                         "engine is draining; no new requests admitted"
                     )
             self._pending += 1
+            self._spent += 1
             self.admitted += 1
 
     def release(self) -> None:
@@ -190,6 +194,13 @@ class AdmissionController:
         with self._cond:
             self.closed = True
             self._cond.notify_all()
+
+    def reset_counts(self) -> None:
+        """Zero the seven admission counts; slots, the gate, the breaker
+        and the spent request budget are state and stay."""
+        with self._cond:
+            self.submitted = self.admitted = self.shed = self.shed_health = 0
+            self.rejected_open = self.rejected_budget = self.rejected_draining = 0
 
     def record_success(self) -> None:
         """Report a completed pipeline call to the breaker."""

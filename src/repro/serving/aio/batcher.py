@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.llm.simulated import CALL_OVERHEAD_SECONDS
 from repro.llm.tasks import (
@@ -92,14 +92,12 @@ class MicroBatcher:
         self,
         max_batch: int = 32,
         safety_timeout: float = 5.0,
-        on_flush: Optional[Callable[[int, float, str], None]] = None,
         clock=time.monotonic,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.max_batch = max_batch
         self.safety_timeout = safety_timeout
-        self.on_flush = on_flush
         self._clock = clock
         self._cond = threading.Condition()
         self._pending: list[_Call] = []
@@ -200,7 +198,7 @@ class MicroBatcher:
         groups: dict[tuple[int, str], list[_Call]] = {}
         for call in wave:
             groups.setdefault((id(call.client), stage_of(call.task)), []).append(call)
-        for (_, stage), members in groups.items():
+        for members in groups.values():
             try:
                 seconds = self._invoke(members)
             except BaseException as exc:  # noqa: BLE001 — posted per member
@@ -214,8 +212,6 @@ class MicroBatcher:
                 self.max_batch_seen = max(self.max_batch_seen, len(members))
                 if len(members) >= 2:
                     self.batched_calls += 1
-            if self.on_flush is not None:
-                self.on_flush(len(members), seconds, stage)
             for member in members:
                 member.done.set()
 
@@ -252,6 +248,13 @@ class MicroBatcher:
             )
             seconds += sum(r.latency_seconds for r in member.responses)
         return seconds
+
+    def reset_stats(self) -> None:
+        """Zero the accounting; the runner census is state and stays."""
+        with self._cond:
+            self.calls = self.flushes = self.batched_calls = 0
+            self.max_batch_seen = self.timeouts = 0
+            self.busy_seconds = 0.0
 
     def stats(self) -> dict:
         with self._cond:

@@ -81,9 +81,7 @@ class AsyncServingEngine(ServingEngine):
         **kwargs,
     ):
         self.batcher = MicroBatcher(
-            max_batch=max_batch,
-            safety_timeout=batch_safety_window,
-            on_flush=self._on_flush,
+            max_batch=max_batch, safety_timeout=batch_safety_window
         )
         # Install the batching shim while pipeline.extractor/generator/
         # refiner are still the raw stage objects — the cache wrappers
@@ -100,28 +98,6 @@ class AsyncServingEngine(ServingEngine):
         self._run_pool = ThreadPoolExecutor(
             max_workers=slots, thread_name_prefix="aio-run"
         )
-        if self.metrics is not None:
-            self._m_coalesced = self.metrics.counter(
-                "repro_async_coalesced_total",
-                "follower requests served from an in-flight leader",
-            )
-            self._m_batched = self.metrics.counter(
-                "repro_async_batched_calls_total",
-                "batched backend invocations (>= 2 member calls) by stage",
-                labelnames=("stage",),
-            )
-            self._m_batch_size = self.metrics.histogram(
-                "repro_async_batch_size",
-                "member calls per backend invocation",
-                buckets=(1, 2, 4, 8, 16, 32),
-            )
-
-    def _on_flush(self, size: int, seconds: float, stage: str) -> None:
-        if getattr(self, "metrics", None) is None:
-            return
-        self._m_batch_size.observe(size)
-        if size >= 2:
-            self._m_batched.labels(stage=stage).inc()
 
     # -------------------------------------------------------- serving API
 
@@ -242,10 +218,7 @@ class AsyncServingEngine(ServingEngine):
                 # Fail-open: the leader's answer may not be shared.
                 self.batcher.expect(1)
                 return await self._serve_fresh(ctx)
-            self._settle(ctx, "coalesced", outcome)
-            if self.metrics is not None:
-                self._m_coalesced.inc()
-            return outcome
+            return self._settle(ctx, "coalesced", outcome)
         finally:
             self._release(ctx)
 
@@ -277,17 +250,19 @@ class AsyncServingEngine(ServingEngine):
         )
         return dropped
 
+    def reset_stats(self) -> None:
+        super().reset_stats()
+        self.batcher.reset_stats()
+
     def stats(self) -> AsyncServingStats:
         base = super().stats()
         batcher = self.batcher.stats()
-        with self._stats_lock:
-            coalesced = sum(1 for r in self._records if r.status == "coalesced")
         data = {
             f.name: getattr(base, f.name) for f in dataclasses.fields(ServingStats)
         }
         data["makespan_seconds"] = batcher["backend_busy_seconds"]
         return AsyncServingStats(
-            coalesced=coalesced,
+            coalesced=self._m_requests.counts().get("coalesced", 0),
             llm_calls=batcher["calls"],
             flushes=batcher["flushes"],
             batched_calls=batcher["batched_calls"],

@@ -206,6 +206,16 @@ class BulkheadRegistry:
             self._strikes.pop(key, None)
             return self._quarantined.pop(key, None) is not None
 
+    def reset_counts(self) -> None:
+        """Zero every database's counts; in-flight slots, breakers and
+        the quarantine roster are state and stay."""
+        with self._lock:
+            for state in self._dbs.values():
+                state.peak_inflight = state.inflight
+                state.admitted = state.crashes = 0
+                state.rejected_full = state.rejected_open = 0
+                state.rejected_quarantined = 0
+
     def inflight(self, db_id: str) -> int:
         """The database's current in-flight count."""
         with self._lock:

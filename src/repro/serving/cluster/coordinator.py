@@ -27,6 +27,11 @@ supervises the fleet:
   snapshots (never pickled live objects); the coordinator labels them by
   shard and folds them into one :class:`MetricsRegistry` view.
 
+The coordinator's own counts (requests by terminal status, supervision
+events) have one home, the registry the coordinator owns
+(``coordinator.metrics``); :meth:`ShardCoordinator.stats` reads them
+back.
+
 End-to-end deadlines survive the process hop: the coordinator forwards
 the *remaining* budget (configured deadline minus coordinator-side queue
 time) with each request, and the worker engine runs the request under
@@ -154,12 +159,11 @@ class ShardCoordinator:
     def __init__(
         self,
         config: ClusterConfig,
-        metrics: Optional[MetricsRegistry] = None,
         on_result: Optional[Callable[[int, int], None]] = None,
         mp_context: str = "spawn",
     ):
         self.config = config
-        self.metrics = metrics
+        self.metrics = MetricsRegistry()
         #: hook called as (worker_id, results_from_that_worker) after each
         #: result message — the serve-bench kill harness SIGKILLs a worker
         #: from here at a deterministic position in its response stream
@@ -171,36 +175,27 @@ class ShardCoordinator:
         self.health = HealthMonitor(window=16, degraded_at=0.25, unhealthy_at=0.5)
         self._lock = threading.RLock()
         self._workers: dict[int, _WorkerHandle] = {}
+        #: stops the supervisor first: a worker told to drain is not a death
+        self._draining = threading.Event()
+        #: stops the pipe receivers, once every drained worker has reported
         self._stop = threading.Event()
+        self._supervisor: Optional[threading.Thread] = None
         self._threads: list[threading.Thread] = []
         self._started = False
-        self._counters = {
-            "dispatched": 0,
-            "completed": 0,
-            "failed": 0,
-            "shed_unavailable": 0,
-            "deaths": 0,
-            "restarts": 0,
-            "rebalances": 0,
-            "reroutes": 0,
-            "resolved_from_journal": 0,
-            "storage_degraded": 0,
-            "invalidations_broadcast": 0,
-            "invalidations_acked": 0,
-        }
-        if metrics is not None:
-            self._m_requests = metrics.counter(
-                "repro_cluster_requests_total",
-                "cluster requests by terminal status",
-                labelnames=("status",),
-            )
-            self._m_events = metrics.counter(
-                "repro_cluster_supervision_total",
-                "supervision events (death/restart/rebalance/reroute)",
-                labelnames=("event",),
-            )
-            metrics.register_collector("cluster", lambda: self.stats().to_dict())
-            metrics.register_collector("cluster_health", self.health.snapshot)
+        #: requests submitted; also the next seq when the caller gives none
+        self._dispatched = 0
+        self._m_requests = self.metrics.counter(
+            "repro_cluster_requests_total",
+            "cluster requests by terminal status",
+            labelnames=("status",),
+        )
+        self._m_events = self.metrics.counter(
+            "repro_cluster_supervision_total",
+            "supervision events (death/restart/rebalance/reroute/...)",
+            labelnames=("event",),
+        )
+        self.metrics.register_collector("cluster", lambda: self.stats().to_dict())
+        self.metrics.register_collector("cluster_health", self.health.snapshot)
 
     # ------------------------------------------------------------ lifecycle
 
@@ -216,11 +211,10 @@ class ShardCoordinator:
             )
             self._workers[worker_id] = handle
             self._spawn(handle)
-        supervisor = threading.Thread(
+        self._supervisor = threading.Thread(
             target=self._supervise, name="cluster-supervisor", daemon=True
         )
-        supervisor.start()
-        self._threads.append(supervisor)
+        self._supervisor.start()
         return self
 
     def _spawn(self, handle: _WorkerHandle) -> None:
@@ -270,8 +264,8 @@ class ShardCoordinator:
             raise RuntimeError("coordinator not started")
         with self._lock:
             if seq is None:
-                seq = self._counters["dispatched"]
-            self._counters["dispatched"] += 1
+                seq = self._dispatched
+            self._dispatched += 1
             request = _Request(seq, example, time.monotonic())
             self._dispatch(request)
         return request.future
@@ -322,9 +316,7 @@ class ShardCoordinator:
             handle.conn_closed = True
 
     def _resolve_shed(self, request: _Request, reason: str) -> None:
-        self._counters["shed_unavailable"] += 1
-        if self.metrics is not None:
-            self._m_requests.labels(status="shed_unavailable").inc()
+        self._m_requests.labels(status="shed_unavailable").inc()
         request.future.set_exception(
             ShardUnavailableError(request.example.db_id, reason)
         )
@@ -332,9 +324,7 @@ class ShardCoordinator:
     def _reroute(self, request: _Request, reason: str) -> None:
         """Retry-on-new-owner after a shard death; lock held."""
         request.reroutes += 1
-        self._counters["reroutes"] += 1
-        if self.metrics is not None:
-            self._m_events.labels(event="reroute").inc()
+        self._m_events.labels(event="reroute").inc()
         if request.reroutes > self.config.max_reroutes:
             self._resolve_shed(
                 request, f"re-route budget exhausted after: {reason}"
@@ -368,18 +358,15 @@ class ShardCoordinator:
                     self._send_request(handle, request)
             return
         if kind == "result":
+            record = message["record"]
             with self._lock:
                 request = handle.outstanding.pop(message["seq"], None)
                 handle.results += 1
                 results = handle.results
-                self._counters["completed"] += 1 if request is not None else 0
+                if request is not None:
+                    self._m_requests.labels(status=record.get("status", "ok")).inc()
             if request is not None:
-                record = message["record"]
                 self.health.record(f"worker-{handle.id}", True)
-                if self.metrics is not None:
-                    self._m_requests.labels(
-                        status=record.get("status", "ok")
-                    ).inc()
                 request.future.set_result(record)
             if self.on_result is not None:
                 self.on_result(handle.id, results)
@@ -388,10 +375,8 @@ class ShardCoordinator:
             with self._lock:
                 request = handle.outstanding.pop(message["seq"], None)
                 if request is not None:
-                    self._counters["failed"] += 1
-            if request is not None:
-                if self.metrics is not None:
                     self._m_requests.labels(status="failed").inc()
+            if request is not None:
                 request.future.set_exception(
                     RuntimeError(message.get("error", "worker error"))
                 )
@@ -406,9 +391,7 @@ class ShardCoordinator:
                 handle.storage_degraded = True
                 handle.storage_reason = message.get("reason", "")
                 if first:
-                    self._counters["storage_degraded"] += 1
-            if first and self.metrics is not None:
-                self._m_events.labels(event="storage_degraded").inc()
+                    self._m_events.labels(event="storage_degraded").inc()
             return
         if kind == "stats":
             with self._lock:
@@ -417,8 +400,7 @@ class ShardCoordinator:
         if kind == "invalidated":
             # a worker finished dropping its caches for a broadcast
             # invalidation; counted so tests can await full propagation
-            with self._lock:
-                self._counters["invalidations_acked"] += 1
+            self._m_events.labels(event="invalidate_ack").inc()
             return
         # "adopted" and anything unknown: informational only
 
@@ -426,7 +408,7 @@ class ShardCoordinator:
 
     def _supervise(self) -> None:
         poll = min(0.02, self.config.heartbeat_interval / 2)
-        while not self._stop.wait(poll):
+        while not self._draining.wait(poll):
             now = time.monotonic()
             with self._lock:
                 for handle in self._workers.values():
@@ -435,9 +417,7 @@ class ShardCoordinator:
                     if handle.state == RESTARTING:
                         if now >= handle.restart_at:
                             handle.restarts_used += 1
-                            self._counters["restarts"] += 1
-                            if self.metrics is not None:
-                                self._m_events.labels(event="restart").inc()
+                            self._m_events.labels(event="restart").inc()
                             self._spawn(handle)
                         continue
                     dead = handle.process is not None and not handle.process.is_alive()
@@ -467,9 +447,7 @@ class ShardCoordinator:
     def _handle_death(self, handle: _WorkerHandle, reason: str) -> None:
         """One worker died; resolve, then restart or rebalance. Lock held."""
         handle.state = DEAD
-        self._counters["deaths"] += 1
-        if self.metrics is not None:
-            self._m_events.labels(event="death").inc()
+        self._m_events.labels(event="death").inc()
         self.health.record(f"worker-{handle.id}", False, detail=reason)
         if handle.process is not None:
             handle.process.join(timeout=5)
@@ -490,12 +468,8 @@ class ShardCoordinator:
         for request in list(outstanding.values()) + parked:
             record = segment.committed(request.seq) if segment is not None else None
             if record is not None:
-                self._counters["resolved_from_journal"] += 1
-                self._counters["completed"] += 1
-                if self.metrics is not None:
-                    self._m_requests.labels(
-                        status=record.get("status", "ok")
-                    ).inc()
+                self._m_events.labels(event="resolved_from_journal").inc()
+                self._m_requests.labels(status=record.get("status", "ok")).inc()
                 request.future.set_result(record)
             else:
                 orphans.append(request)
@@ -518,9 +492,7 @@ class ShardCoordinator:
         """Permanent death: rebalance the ring and re-route orphans."""
         handle.state = REMOVED
         self.ring.remove(handle.id)
-        self._counters["rebalances"] += 1
-        if self.metrics is not None:
-            self._m_events.labels(event="rebalance").inc()
+        self._m_events.labels(event="rebalance").inc()
         # Survivors adopt the dead shard's committed results so repeat
         # questions re-routed to them keep their result-cache hits (the
         # byte-identical recovery property across a rebalance).
@@ -557,7 +529,7 @@ class ShardCoordinator:
         """
         sent = 0
         with self._lock:
-            self._counters["invalidations_broadcast"] += 1
+            self._m_events.labels(event="invalidate_broadcast").inc()
             for handle in self._workers.values():
                 if handle.state in (DEAD, REMOVED):
                     continue
@@ -569,21 +541,24 @@ class ShardCoordinator:
                     sent += 1
                 except (OSError, ValueError):
                     handle.conn_closed = True
-        if self.metrics is not None:
-            self._m_events.labels(event="invalidate_broadcast").inc()
         return sent
 
     def invalidations_acked(self) -> int:
         """Workers that have acked an ``invalidate`` broadcast so far."""
-        with self._lock:
-            return self._counters["invalidations_acked"]
+        return self._m_events.counts().get("invalidate_ack", 0)
 
     # ------------------------------------------------------------ reporting
 
     def stats(self) -> ClusterStats:
-        """Merged cluster accounting snapshot."""
+        """Merged cluster accounting snapshot.
+
+        A worker result whose committed record is a failure counts as
+        ``failed``, as the in-process engine counts it.
+        """
         with self._lock:
-            counters = dict(self._counters)
+            dispatched = self._dispatched
+            requests = self._m_requests.counts()
+            events = self._m_events.counts()
             workers = {
                 handle.id: {
                     "state": handle.state,
@@ -598,13 +573,26 @@ class ShardCoordinator:
                 handle.id: handle.results for handle in self._workers.values()
             }
             ring_nodes = self.ring.nodes()
+        failed = requests.get("failed", 0)
+        shed = requests.get("shed_unavailable", 0)
         return ClusterStats(
             {
                 "shards": self.config.shards,
                 "ring_nodes": ring_nodes,
                 "workers": workers,
                 "results_by_shard": results_by_shard,
-                **counters,
+                "dispatched": dispatched,
+                "completed": sum(requests.values()) - failed - shed,
+                "failed": failed,
+                "shed_unavailable": shed,
+                "deaths": events.get("death", 0),
+                "restarts": events.get("restart", 0),
+                "rebalances": events.get("rebalance", 0),
+                "reroutes": events.get("reroute", 0),
+                "resolved_from_journal": events.get("resolved_from_journal", 0),
+                "storage_degraded": events.get("storage_degraded", 0),
+                "invalidations_broadcast": events.get("invalidate_broadcast", 0),
+                "invalidations_acked": events.get("invalidate_ack", 0),
             }
         )
 
@@ -621,14 +609,11 @@ class ShardCoordinator:
         """One shard-labelled registry merging every worker's snapshot.
 
         Cluster-level instruments/collectors live on the coordinator's
-        own registry (when one was passed); this view adds each worker's
-        shipped snapshot under ``shard<K>.*`` collectors — the merged
-        document ``repro metrics`` renders for the whole cluster.
+        own registry; this adds each worker's shipped snapshot to it under
+        ``shard<K>.*`` collectors — the merged document ``repro metrics``
+        renders for the whole cluster.
         """
-        registry = self.metrics if self.metrics is not None else MetricsRegistry()
-        if self.metrics is None:
-            registry.register_collector("cluster", lambda: self.stats().to_dict())
-            registry.register_collector("cluster_health", self.health.snapshot)
+        registry = self.metrics
         for worker_id, payload in sorted(self.shard_snapshots().items()):
             for section in ("serving", "health", "journal"):
                 data = payload.get(section)
@@ -648,7 +633,15 @@ class ShardCoordinator:
     # ------------------------------------------------------------- shutdown
 
     def shutdown(self, timeout: float = 30.0) -> None:
-        """Drain workers, collect final snapshots, stop supervision."""
+        """Stop supervision, drain workers, collect final snapshots.
+
+        Supervision stops first: a worker exiting because it was told to
+        drain is not a death, so a clean shutdown counts none and
+        restarts nothing.
+        """
+        self._draining.set()
+        if self._supervisor is not None:
+            self._supervisor.join(timeout=timeout)
         with self._lock:
             live = [
                 handle

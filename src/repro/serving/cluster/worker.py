@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import threading
 
-from repro.observability.metrics import MetricsRegistry
 from repro.serving.cluster.config import ClusterConfig
 from repro.serving.journal import JournalCorruptionError, ServingJournal
 from repro.serving.spec import build
@@ -157,10 +156,7 @@ def worker_main(worker_id: int, config_payload: dict, conn) -> None:
             segment_path, opener=opener, on_storage_error=on_storage_error
         )
     journal.write_header(config.header_config(worker_id))
-    metrics = MetricsRegistry()
-    engine = stack.engine(
-        workers=config.engine_workers, journal=journal, metrics=metrics
-    )
+    engine = stack.engine(workers=config.engine_workers, journal=journal)
     registry = None
     if config.livedata:
         from repro.livedata.epoch import EpochRegistry
@@ -215,7 +211,7 @@ def worker_main(worker_id: int, config_payload: dict, conn) -> None:
             "worker": worker_id,
             "serving": engine.stats().to_dict(),
             "health": engine.health.snapshot(),
-            "metrics": metrics.snapshot(),
+            "metrics": engine.metrics.snapshot(),
             "journal": journal.stats_dict(),
             "traces": [trace.structure() for trace in engine.traces()],
         }

@@ -24,6 +24,15 @@ Each worker thread accumulates the service time of the requests it ran —
 a per-worker virtual clock — and :meth:`stats` aggregates those into the
 p50/p95/p99 + throughput view of :class:`~repro.serving.stats.ServingStats`.
 
+Every count the engine observes has one home, its ``metrics`` registry
+(the one passed in, or a private one): requests by terminal status,
+deadline truncations, model seconds and the live-data events.
+:meth:`stats` and :attr:`livedata_stats` read those instruments back, so
+an engine handed a shared registry shares its counts too.  Counts a
+component keeps (admission, bulkheads, caches, hedging, backends,
+routing, the journal) stay in the component; :meth:`stats` and the
+registry's collectors read them there.
+
 Thread-safety contract: the wrapped pipeline must be *reentrant* —
 ``SimulatedLLM`` draws from per-call hash-derived seeds (order-independent
 by construction), ``SQLExecutor`` serializes per-connection access, and
@@ -49,12 +58,7 @@ from repro.reliability.faults import BudgetExceededError, CircuitOpenError
 from repro.serving.admission import AdmissionController, AdmissionError
 from repro.caching import LRUCache, normalize_question, result_cache_key
 from repro.serving.backends import BackendPool
-from repro.serving.bulkhead import (
-    BulkheadFullError,
-    BulkheadRegistry,
-    DbCircuitOpenError,
-    QuarantinedError,
-)
+from repro.serving.bulkhead import BulkheadRegistry
 from repro.livedata.epoch import EpochRegistry
 from repro.livedata.errors import StaleCatalogError
 from repro.livedata.guard import EpochGuardExecutor, EpochPins
@@ -62,7 +66,7 @@ from repro.serving.health import HealthMonitor
 from repro.serving.hedging import HedgeStats, hedge_executors
 from repro.serving.journal import ServingJournal
 from repro.serving.latency import LatencySummary
-from repro.serving.stats import RequestRecord, ServingStats
+from repro.serving.stats import ServingStats
 
 __all__ = ["ServingEngine", "CachingExtractor", "CachingFewShotLibrary"]
 
@@ -243,7 +247,7 @@ class ServingEngine:
         self.workers = workers
         self.deadline_seconds = deadline_seconds
         self.tracing = tracing
-        self.metrics = metrics
+        self.metrics = metrics or MetricsRegistry()
         self._clock = clock
         # The health monitor exists before admission so the controller can
         # poll the pipeline component's grade on every admit.  Shedding is
@@ -281,27 +285,15 @@ class ServingEngine:
         self.hedge_stats: Optional[HedgeStats] = None
         if hedge_threshold is not None:
             self.hedge_stats = hedge_executors(pipeline, hedge_threshold)
-        self.health.register_probe(
-            "breaker", lambda: {"state": self.admission.breaker.state.value}
-        )
-        self.health.register_probe(
-            "caches",
-            lambda: {
-                "result_hit_rate": self.result_cache.stats.to_dict()["hit_rate"],
-                "extraction_hit_rate": self.extraction_cache.stats.to_dict()[
-                    "hit_rate"
-                ],
-            },
-        )
-        if self.hedge_stats is not None:
-            self.health.register_probe("hedging", self.hedge_stats.to_dict)
-        if self.backends is not None:
-            self.health.register_probe("backends", self.backends.snapshot)
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="serving"
         )
+        # Guards what a counter cannot hold (each settled request's service
+        # seconds, for exact percentiles; the per-worker busy clock, for
+        # the makespan) together with the request counters, so one stats()
+        # read sees them agree.
         self._stats_lock = threading.Lock()
-        self._records: list[RequestRecord] = []
+        self._service_seconds: list[float] = []
         self._worker_busy: dict[int, float] = {}
         self._started_at: Optional[float] = None
         self._finished_at: Optional[float] = None
@@ -310,78 +302,41 @@ class ServingEngine:
         self._traces: dict[str, Trace] = {}
         self._traces_lock = threading.Lock()
         self._latest_trace: Optional[Trace] = None
-        # Live-data wiring (attach_livedata): epoch registry, per-thread
-        # pins for the pre-execute staleness check, and the stale counters.
+        # Live-data wiring (attach_livedata): epoch registry and per-thread
+        # pins for the pre-execute staleness check.
         self.epochs: Optional[EpochRegistry] = None
         self._epoch_pins: Optional[EpochPins] = None
-        self._m_stale = None
-        self.livedata_stats = {
-            "stale_detected": 0,
-            "stale_retried": 0,
-            "stale_served": 0,
-            "invalidations": 0,
-        }
-        if metrics is not None:
-            self._m_requests = metrics.counter(
-                "repro_serving_requests_total",
-                "requests by terminal status",
-                labelnames=("status",),
-            )
-            self._m_service = metrics.histogram(
-                "repro_serving_service_seconds",
-                "per-request service time (wall + virtual model seconds)",
-            )
-            self._m_model_seconds = metrics.counter(
-                "repro_serving_model_seconds_total",
-                "simulated model decode seconds across all requests",
-            )
-            self._m_quarantine = metrics.counter(
-                "repro_serving_quarantine_total",
-                "(db_id, question) keys quarantined after consecutive crashes",
-            )
-            self._m_bulkhead_rejections = metrics.counter(
-                "repro_serving_bulkhead_rejections_total",
-                "requests rejected at the per-database bulkhead",
-                labelnames=("channel",),
-            )
-            # The free-floating stats objects surface in the unified export
-            # via collectors — their accounting is untouched.
-            self._m_tier = metrics.counter(
-                "repro_routing_tier_total",
-                "freshly answered requests by final routing tier",
-                labelnames=("tier",),
-            )
-            self._m_escalations = metrics.counter(
-                "repro_routing_escalations_total",
-                "tier promotions by escalation reason",
-                labelnames=("reason",),
-            )
-            self._m_tier_tokens = metrics.counter(
-                "repro_routing_tokens_total",
-                "tokens spent per routing tier (escalated attempts included)",
-                labelnames=("tier",),
-            )
-            if hasattr(pipeline, "routing_stats"):
-                metrics.register_collector("routing", pipeline.routing_stats)
-            metrics.register_collector("serving", lambda: self.stats().to_dict())
-            metrics.register_collector("health", self.health.snapshot)
-            metrics.register_collector("bulkheads", self.bulkheads.to_dict)
-            if self.hedge_stats is not None:
-                metrics.register_collector("hedging", self.hedge_stats.to_dict)
-            if self.backends is not None:
-                metrics.register_collector("backends", self.backends.snapshot)
-            if self.journal is not None:
-                metrics.register_collector("journal", self.journal.stats_dict)
-                self._m_storage_disabled = metrics.counter(
-                    "repro_storage_journal_disabled_total",
-                    "journal write-path brownouts (serve continued un-journaled)",
-                )
-                self._m_storage_errors = metrics.counter(
-                    "repro_storage_write_errors_total",
-                    "storage write errors on the journal append path",
-                    labelnames=("kind",),
-                )
+        self._m_requests = self.metrics.counter(
+            "repro_serving_requests_total",
+            "requests by terminal status",
+            labelnames=("status",),
+        )
+        self._m_deadline = self.metrics.counter(
+            "repro_serving_deadline_exceeded_total",
+            "completed requests whose deadline truncated pipeline work",
+        )
+        self._m_model_seconds = self.metrics.counter(
+            "repro_serving_model_seconds_total",
+            "simulated model decode seconds across all requests",
+        )
+        self._m_stale = self.metrics.counter(
+            "repro_livedata_stale_total",
+            "stale-catalog events on the serving path",
+            labelnames=("event",),
+        )
+        self._m_invalidations = self.metrics.counter(
+            "repro_livedata_invalidations_total",
+            "invalidate_db calls (every cache tier dropped for one database)",
+        )
+        if hasattr(pipeline, "routing_stats"):
+            self.metrics.register_collector("routing", pipeline.routing_stats)
+        self.metrics.register_collector("serving", lambda: self.stats().to_dict())
         if self.journal is not None:
+            self.metrics.register_collector("journal", self.journal.stats_dict)
+            self._m_storage_disabled = self.metrics.counter(
+                "repro_storage_journal_disabled_total",
+                "journal write-path brownouts (serve continued un-journaled)",
+            )
             # Brownout wiring: an ENOSPC/EIO on the append path degrades
             # health and fires counters/trace events instead of killing
             # the worker.
@@ -406,11 +361,11 @@ class ServingEngine:
           handler re-extracts and retries exactly once against the new
           epoch before failing the request.
 
-        Stale events surface in ``repro_livedata_stale_total`` (labeled
-        ``detected`` / ``retried`` / ``served``) and in
-        ``livedata_stats``; ``served`` counting a completed answer whose
-        catalog moved after its last SQL execution — the certifier's
-        zero-stale-serve gate reads that slot.
+        Stale events are counted in ``repro_livedata_stale_total``
+        (labeled ``detected`` / ``retried`` / ``served``), which
+        :attr:`livedata_stats` reads back; ``served`` counts a completed
+        answer whose catalog moved after its last SQL execution — the
+        certifier's zero-stale-serve gate reads that slot.
         """
         self.epochs = registry
         # result_cache_key duck-types on pipeline.epochs for the result
@@ -434,21 +389,17 @@ class ServingEngine:
             return EpochGuardExecutor(inner, db_id, registry, pins)
 
         self.pipeline.set_executor_wrapper(_guarded)
-        if self.metrics is not None:
-            self._m_stale = self.metrics.counter(
-                "repro_livedata_stale_total",
-                "stale-catalog events on the serving path",
-                labelnames=("event",),
-            )
-            self.metrics.register_collector(
-                "livedata", lambda: dict(self.livedata_stats)
-            )
 
-    def _count_stale(self, event: str) -> None:
-        with self._stats_lock:
-            self.livedata_stats[f"stale_{event}"] += 1
-        if self._m_stale is not None:
-            self._m_stale.labels(event=event).inc()
+    @property
+    def livedata_stats(self) -> dict[str, int]:
+        """Stale-catalog events and invalidations, read from the registry."""
+        stale = self._m_stale.counts()
+        return {
+            "stale_detected": stale.get("detected", 0),
+            "stale_retried": stale.get("retried", 0),
+            "stale_served": stale.get("served", 0),
+            "invalidations": int(self._m_invalidations.value()),
+        }
 
     # ------------------------------------------------------------ requests
 
@@ -538,17 +489,7 @@ class ServingEngine:
         if self._closed:
             raise RuntimeError("engine is shut down")
         ctx = _Ctx(example)
-        try:
-            self.bulkheads.acquire(example.db_id, ctx.qkey, block=block)
-        except (BulkheadFullError, DbCircuitOpenError, QuarantinedError) as exc:
-            if self.metrics is not None:
-                channel = {
-                    BulkheadFullError: "full",
-                    DbCircuitOpenError: "open",
-                    QuarantinedError: "quarantined",
-                }[type(exc)]
-                self._m_bulkhead_rejections.labels(channel=channel).inc()
-            raise
+        self.bulkheads.acquire(example.db_id, ctx.qkey, block=block)
         try:
             self.admission.admit(block=block)
         except BaseException:
@@ -611,8 +552,7 @@ class ServingEngine:
         the only place that feeds the engine breaker and health, the
         bulkhead's breaker and quarantine strikes (always under
         ``ctx.qkey``, whatever the result-cache key carries), the result
-        tier, the journal commit, the trace, the routing metrics and the
-        request record.
+        tier, the journal commit, the trace and the request counts.
         """
         example, trace = ctx.example, ctx.trace
         result = error = journal_error = None
@@ -626,8 +566,6 @@ class ServingEngine:
                 add_event(
                     "quarantine", db_id=example.db_id, question_id=example.question_id
                 )
-                if self.metrics is not None:
-                    self._m_quarantine.inc()
             if trace is not None:
                 trace.root.status = "failed"
                 trace.root.event("request_failed", error=error)
@@ -650,13 +588,6 @@ class ServingEngine:
                     # entry lands under the catalog that produced it
                     ctx.key = result_cache_key(example, self.pipeline)
                 self.result_cache.put(ctx.key, result)
-            routing = getattr(result, "routing", None)
-            if self.metrics is not None and routing is not None:
-                self._m_tier.labels(tier=routing.final_tier).inc()
-                for event in routing.escalations:
-                    self._m_escalations.labels(reason=event.reason).inc()
-                for attempt in routing.attempts:
-                    self._m_tier_tokens.labels(tier=attempt.tier).inc(attempt.tokens)
         elif status == "coalesced" and trace is not None:
             trace.root.cache = "coalesced"
             trace.root.event("single_flight", outcome="coalesced", key=str(ctx.key))
@@ -667,7 +598,7 @@ class ServingEngine:
                 # an answered request's root was finished by pipeline.answer
                 trace.finish(deadline=ctx.deadline)
             self._store_trace(trace)
-        self._record(ctx, status, model_seconds, error, exceeded)
+        self._count(ctx, status, model_seconds, exceeded)
         return outcome
 
     def _release(self, ctx: _Ctx) -> None:
@@ -704,7 +635,7 @@ class ServingEngine:
             try:
                 result = self.pipeline.answer(example, deadline=deadline, **kwargs)
             except StaleCatalogError as exc:
-                self._count_stale("detected")
+                self._m_stale.labels(event="detected").inc()
                 if trace is not None:
                     trace.root.event(
                         "stale_catalog",
@@ -714,7 +645,7 @@ class ServingEngine:
                         retrying=attempt == 0,
                     )
                 if attempt == 0:
-                    self._count_stale("retried")
+                    self._m_stale.labels(event="retried").inc()
                     continue
                 raise
             finally:
@@ -723,39 +654,27 @@ class ServingEngine:
                 # The catalog moved after this request's last execution:
                 # the answer it computed is already stale on arrival.
                 # This is the slot the certifier requires to stay zero.
-                self._count_stale("served")
+                self._m_stale.labels(event="served").inc()
                 if trace is not None:
                     trace.root.event("stale_serve", db_id=db_id, pinned_epoch=pinned)
             return result
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _record(
-        self,
-        ctx: _Ctx,
-        status: str,
-        model_seconds: float,
-        error: Optional[str],
-        deadline_exceeded: bool,
+    def _count(
+        self, ctx: _Ctx, status: str, model_seconds: float, deadline_exceeded: bool
     ) -> None:
-        record = RequestRecord(
-            question_id=ctx.example.question_id,
-            db_id=ctx.example.db_id,
-            status=status,
-            wall_seconds=self._clock() - ctx.start,
-            model_seconds=model_seconds,
-            error=error,
-            deadline_exceeded=deadline_exceeded,
-        )
+        """Count one settled request and charge its service seconds (wall
+        + model) to this worker's virtual clock."""
+        service = self._clock() - ctx.start + model_seconds
         ident = threading.get_ident()
         with self._stats_lock:
-            self._records.append(record)
-            self._worker_busy[ident] = (
-                self._worker_busy.get(ident, 0.0) + record.service_seconds
-            )
+            if status != "failed":
+                self._service_seconds.append(service)
+            self._worker_busy[ident] = self._worker_busy.get(ident, 0.0) + service
             self._finished_at = self._clock()
-        if self.metrics is not None:
             self._m_requests.labels(status=status).inc()
-            self._m_service.observe(record.service_seconds)
+            if deadline_exceeded:
+                self._m_deadline.inc()
             self._m_model_seconds.inc(model_seconds)
 
     # -------------------------------------------------------------- tracing
@@ -825,27 +744,42 @@ class ServingEngine:
             dropped["fewshot"] = library.invalidate_db(db_id)
         else:
             dropped["fewshot"] = self.fewshot_cache.invalidate(lambda _key: True)
-        with self._stats_lock:
-            self.livedata_stats["invalidations"] += 1
+        self._m_invalidations.inc()
         return dropped
 
     def reset_stats(self) -> None:
-        """Zero request records and cache counters (post-warm-up)."""
+        """Zero every count :meth:`stats` reports (post-warm-up), except
+        the backend pool's.
+
+        That is the engine's registry, the admission, bulkhead and hedge
+        counts and the cache counters.  The backend pool belongs to the
+        stack that built it, so its counts stay.  Cache contents, in-flight
+        slots, breakers, the quarantine roster and health windows are
+        state, not counts, and survive.
+        """
         with self._stats_lock:
-            self._records = []
+            self._service_seconds = []
             self._worker_busy = {}
             self._started_at = None
             self._finished_at = None
+            self.metrics.reset()
+        self.admission.reset_counts()
+        self.bulkheads.reset_counts()
+        if self.hedge_stats is not None:
+            self.hedge_stats.reset()
         for cache in (self.result_cache, self.extraction_cache, self.fewshot_cache):
             cache.reset_stats()
 
     def stats(self) -> ServingStats:
         """A snapshot of the run's complete serving accounting."""
         with self._stats_lock:
-            records = list(self._records)
+            requests = self._m_requests.counts()
+            deadline_exceeded = int(self._m_deadline.value())
+            service = list(self._service_seconds)
             busy = dict(self._worker_busy)
             started = self._started_at
             finished = self._finished_at
+        failed = requests.get("failed", 0)
         admission = self.admission.to_dict()
         bulkheads = self.bulkheads.to_dict()
         bulkhead_rejected = (
@@ -853,23 +787,23 @@ class ServingEngine:
             + bulkheads["rejected_open"]
             + bulkheads["rejected_quarantined"]
         )
-        finished_records = [r for r in records if r.status != "failed"]
         return ServingStats(
             workers=self.workers,
             # bulkhead rejections happen before the admission gate, so the
             # client-visible submitted total is the sum of both layers
             submitted=admission["submitted"] + bulkhead_rejected,
             admitted=admission["admitted"],
-            completed=len(finished_records),
-            failed=sum(1 for r in records if r.status == "failed"),
+            # every status but "failed": ok, cached and coalesced
+            completed=sum(requests.values()) - failed,
+            failed=failed,
             shed=admission["shed"],
             shed_health=admission["shed_health"],
             rejected_open=admission["rejected_open"],
             rejected_budget=admission["rejected_budget"],
             rejected_draining=admission["rejected_draining"],
             rejected_bulkhead=bulkhead_rejected,
-            result_hits=sum(1 for r in records if r.cache_hit),
-            deadline_exceeded=sum(1 for r in records if r.deadline_exceeded),
+            result_hits=requests.get("cached", 0),
+            deadline_exceeded=deadline_exceeded,
             breaker_state=admission["breaker_state"],
             cache_tiers={
                 "result": self.result_cache.stats.to_dict(),
@@ -880,9 +814,7 @@ class ServingEngine:
             health=self.health.snapshot(),
             bulkheads=bulkheads,
             backends=self.backends.snapshot() if self.backends else {},
-            latency=LatencySummary.from_values(
-                [r.service_seconds for r in finished_records]
-            ),
+            latency=LatencySummary.from_values(service),
             makespan_seconds=max(busy.values()) if busy else 0.0,
             wall_seconds=(finished - started)
             if started is not None and finished is not None
@@ -919,10 +851,7 @@ class ServingEngine:
         """Journal brownout listener: degrade, count, trace — keep serving."""
         self.health.record("storage", False, detail=f"journal disabled: {exc}")
         add_event("journal_disabled", error=str(exc))
-        if self.metrics is not None:
-            self._m_storage_disabled.inc()
-            for kind, count in self.journal.write_errors.items():
-                self._m_storage_errors.labels(kind=kind).inc(count)
+        self._m_storage_disabled.inc()
 
     def __enter__(self) -> "ServingEngine":
         return self

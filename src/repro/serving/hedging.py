@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import inspect
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Optional
 
 from repro.execution.executor import ExecutionError, ExecutionOutcome
@@ -42,7 +42,12 @@ __all__ = ["HedgeStats", "HedgedExecutor", "hedge_executors"]
 
 @dataclass
 class HedgeStats:
-    """What hedging did over one executor's lifetime."""
+    """What hedging did over its executors' lifetime.
+
+    One instance is shared by every per-database executor
+    :func:`hedge_executors` installs, so the lock lives here, with the
+    counters: :meth:`bump` is the only way they change.
+    """
 
     #: primary executions seen
     calls: int = 0
@@ -58,18 +63,29 @@ class HedgeStats:
     primary_slow: int = 0
     #: hedges skipped because the request deadline was already spent
     suppressed_deadline: int = 0
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    def bump(self, **deltas: int) -> None:
+        """Add each delta to its named counter, under the shared lock."""
+        with self._lock:
+            for name, delta in deltas.items():
+                setattr(self, name, getattr(self, name) + delta)
+
+    def reset(self) -> None:
+        """Zero every counter, under the shared lock."""
+        with self._lock:
+            for name in self._names():
+                setattr(self, name, 0)
 
     def to_dict(self) -> dict:
         """JSON-ready counters for stats reports."""
-        return {
-            "calls": self.calls,
-            "launched": self.launched,
-            "wins": self.wins,
-            "recovered_error": self.recovered_error,
-            "recovered_slow": self.recovered_slow,
-            "primary_slow": self.primary_slow,
-            "suppressed_deadline": self.suppressed_deadline,
-        }
+        with self._lock:
+            return {name: getattr(self, name) for name in self._names()}
+
+    def _names(self) -> list[str]:
+        return [f.name for f in fields(self) if f.init]
 
 
 class HedgedExecutor:
@@ -77,9 +93,9 @@ class HedgedExecutor:
 
     Implements the executor protocol (``execute`` / ``execute_or_raise``);
     other attributes fall through to the wrapped executor.  Thread-safe:
-    serving workers share one instance per database, and only the shared
-    stats are guarded (execution itself is reentrant in the wrapped
-    executor).
+    serving workers share one instance per database, the per-database
+    instances share one :class:`HedgeStats` (which guards itself), and
+    execution is reentrant in the wrapped executor.
     """
 
     def __init__(
@@ -93,7 +109,6 @@ class HedgedExecutor:
         self.inner = inner
         self.threshold_seconds = threshold_seconds
         self.stats = stats if stats is not None else HedgeStats()
-        self._stats_lock = threading.Lock()
         # Detect the attempt-salt protocol once: FaultInjectingExecutor
         # accepts it (decorrelated draws), plain SQLExecutor does not.
         try:
@@ -111,11 +126,6 @@ class HedgedExecutor:
             return self.inner.execute(sql, deadline, attempt=attempt)
         return self.inner.execute(sql, deadline)
 
-    def _bump(self, **deltas: int) -> None:
-        with self._stats_lock:
-            for name, delta in deltas.items():
-                setattr(self.stats, name, getattr(self.stats, name) + delta)
-
     # ----------------------------------------------------------------- API
 
     def execute(
@@ -123,7 +133,7 @@ class HedgedExecutor:
     ) -> ExecutionOutcome:
         """Execute ``sql``, hedging transient failures and slow successes."""
         primary = self._run(sql, deadline, attempt=0)
-        self._bump(calls=1)
+        self.stats.bump(calls=1)
 
         transient = primary.status.is_transient
         slow = (
@@ -131,15 +141,15 @@ class HedgedExecutor:
             and primary.elapsed_seconds >= self.threshold_seconds
         )
         if slow:
-            self._bump(primary_slow=1)
+            self.stats.bump(primary_slow=1)
         if not transient and not slow:
             return primary
         if deadline is not None and deadline.expired:
-            self._bump(suppressed_deadline=1)
+            self.stats.bump(suppressed_deadline=1)
             add_event("hedge_suppressed", reason="deadline")
             return primary
 
-        self._bump(launched=1)
+        self.stats.bump(launched=1)
         add_event(
             "hedge_launched",
             reason="transient" if transient else "slow",
@@ -149,7 +159,7 @@ class HedgedExecutor:
 
         if transient:
             if not hedge.status.is_transient:
-                self._bump(wins=1, recovered_error=1)
+                self.stats.bump(wins=1, recovered_error=1)
                 add_event("hedge_won", recovered="error")
                 return hedge
             return primary
@@ -160,7 +170,7 @@ class HedgedExecutor:
             return primary
         hedge_finish = self.threshold_seconds + hedge.elapsed_seconds
         if hedge_finish < primary.elapsed_seconds:
-            self._bump(wins=1, recovered_slow=1)
+            self.stats.bump(wins=1, recovered_slow=1)
             add_event("hedge_won", recovered="slow")
             return replace(hedge, elapsed_seconds=hedge_finish)
         return primary

@@ -1,4 +1,12 @@
-"""Serving-side accounting: per-request records and the ServingStats report.
+"""The ServingStats report: one serving run's accounting, read back.
+
+The report is a view, not a store.  The engine reads its request counts
+(by terminal status, deadline truncations) back from its
+``MetricsRegistry``, the component sections (admission, bulkheads,
+caches, hedging, health, backends) from the components that keep them,
+and the latency summary and makespan from the two things a counter
+cannot hold: each settled request's service seconds and each worker's
+busy clock.
 
 Throughput in a simulation needs care: the simulator reports model latency
 instead of sleeping it, so wall-clock throughput would be meaninglessly
@@ -14,38 +22,10 @@ when model latency dominates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.serving.latency import LatencySummary
 
-__all__ = ["RequestRecord", "ServingStats"]
-
-
-@dataclass(frozen=True)
-class RequestRecord:
-    """What happened to one admitted request."""
-
-    question_id: str
-    db_id: str
-    #: "ok" (pipeline ran), "cached" (result-tier hit), "coalesced"
-    #: (async single-flight follower), "failed" (raised)
-    status: str
-    wall_seconds: float = 0.0
-    #: simulated model decode seconds summed over the request's LLM calls
-    model_seconds: float = 0.0
-    error: Optional[str] = None
-    #: the request's deadline truncated or skipped pipeline work
-    deadline_exceeded: bool = False
-
-    @property
-    def service_seconds(self) -> float:
-        """The request's total virtual service time."""
-        return self.wall_seconds + self.model_seconds
-
-    @property
-    def cache_hit(self) -> bool:
-        """True when the result tier answered without running the pipeline."""
-        return self.status == "cached"
+__all__ = ["ServingStats"]
 
 
 @dataclass

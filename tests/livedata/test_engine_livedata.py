@@ -70,6 +70,40 @@ class TestStaleDetection:
         assert stats["stale_retried"] == 1
         assert stats["stale_served"] == 0
 
+    def test_livedata_stats_read_the_registry(self, world):
+        """The stale and invalidation counts have one home, the engine's
+        registry (a private one here: no ``metrics=``)."""
+        benchmark, pipeline = world
+        engine, registry = live_engine(pipeline)
+        example = benchmark.dev[0]
+        extractor = engine.pipeline.extractor
+        original = extractor.inner.run
+        bumped = []
+
+        def racing_run(*args, **kwargs):
+            if not bumped:
+                bumped.append(registry.bump(example.db_id))
+            return original(*args, **kwargs)
+
+        extractor.inner.run = racing_run
+        try:
+            with engine:
+                engine.answer(example)
+                engine.invalidate_db(example.db_id)
+        finally:
+            extractor.inner.run = original
+        exported = engine.metrics.snapshot()["metrics"]
+        stale = exported["repro_livedata_stale_total"]["samples"]
+        invalidations = exported["repro_livedata_invalidations_total"]["samples"]
+        assert stale == {"event=detected": 1, "event=retried": 1}
+        assert engine.livedata_stats == {
+            "stale_detected": stale["event=detected"],
+            "stale_retried": stale["event=retried"],
+            "stale_served": 0,
+            "invalidations": invalidations["_"],
+        }
+        assert invalidations["_"] == 1
+
     def test_double_mutation_escapes_as_typed_failure(self, world):
         """The retry budget is one: a catalog that moves again during the
         retry fails the request with StaleCatalogError."""

@@ -17,6 +17,11 @@ class TestCounter:
         counter.inc(2.5)
         assert counter.value() == pytest.approx(3.5)
 
+    def test_value_read_creates_no_series(self):
+        counter = Counter("c")
+        assert counter.value() == 0.0
+        assert counter.samples() == []
+
     def test_negative_increment_rejected(self):
         counter = Counter("c")
         with pytest.raises(ValueError):

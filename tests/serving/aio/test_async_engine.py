@@ -163,13 +163,14 @@ class TestMetrics:
         ) as engine:
             engine.run(workload)
             stats = engine.stats()
-        payload = metrics.to_json()
-        assert "repro_async_coalesced_total" in payload
-        assert "repro_async_batched_calls_total" in payload
-        assert "repro_async_batch_size" in payload
-        exported = metrics.snapshot()["metrics"]
-        coalesced = exported["repro_async_coalesced_total"]["samples"]["_"]
-        assert coalesced == stats.coalesced
+        exported = metrics.snapshot()
+        requests = exported["metrics"]["repro_serving_requests_total"]["samples"]
+        assert requests["status=coalesced"] == stats.coalesced
+        # the batcher keeps its own counts; the serving collector exports them
+        batching = exported["collected"]["serving"]
+        assert batching["async.batched_calls"] == stats.batched_calls
+        assert batching["async.max_batch"] == stats.max_batch
+        assert batching["async.mean_batch"] == stats.mean_batch
 
 
 class TestEdges:

@@ -125,6 +125,21 @@ class TestClusterServing:
         assert stats["completed"] == len(smoke_workload)
         assert stats["deaths"] == 0
 
+        # A clean shutdown is not a crash: supervision stops before the
+        # workers are told to drain, so nothing dies, restarts or
+        # rebalances, and no worker is left mid-restart.
+        after = coordinator.stats()
+        assert (after["deaths"], after["restarts"], after["rebalances"]) == (0, 0, 0)
+        states = {worker["state"] for worker in after["workers"].values()}
+        assert not states & {"restarting", "spawning", "dead"}
+        # Without metrics= the coordinator counts in a registry of its own,
+        # and stats() reads the counts back from it.
+        exported = coordinator.metrics.snapshot()["metrics"]
+        requests = exported["repro_cluster_requests_total"]["samples"]
+        assert sum(requests.values()) == after["completed"] == len(smoke_workload)
+        assert after["failed"] == requests.get("status=failed", 0) == 0
+        assert exported["repro_cluster_supervision_total"]["samples"] == {}
+
         view = ShardedJournalView(config.journal_dir)
         assert view.committed_seqs() == list(range(len(smoke_workload)))
         assert view.pending() == []

@@ -80,6 +80,12 @@ class TestAdmissionController:
         with pytest.raises(BudgetExceededError):
             controller.admit()
         assert controller.rejected_budget == 1
+        # zeroing the counts does not re-arm the spent budget
+        controller.reset_counts()
+        with pytest.raises(BudgetExceededError):
+            controller.admit()
+        assert (controller.submitted, controller.admitted) == (1, 0)
+        assert controller.rejected_budget == 1
 
     def test_release_without_admit_raises(self):
         controller = AdmissionController(capacity=1)

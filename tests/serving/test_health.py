@@ -16,6 +16,7 @@ from repro.serving import (
     DrainingError,
     HealthMonitor,
     HedgedExecutor,
+    HedgeStats,
     ServingEngine,
 )
 
@@ -247,6 +248,29 @@ class TestHedgedExecutor:
         assert hedged.stats.recovered_error > 0
         assert failures < 0.5 * len(statements)
 
+    def test_shared_stats_count_exactly_across_executors(self):
+        """The per-database executors share one HedgeStats; no increment
+        may be lost to a race between them."""
+        threads, calls = 4, 20_000
+        stats = HedgeStats()
+        executors = [
+            HedgedExecutor(_PlainExecutor(ok()), threshold_seconds=2.0, stats=stats)
+            for _ in range(threads)
+        ]
+
+        def hammer(executor):
+            for _ in range(calls):
+                executor.execute("SELECT 1")
+
+        workers = [threading.Thread(target=hammer, args=(e,)) for e in executors]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+        assert stats.calls == threads * calls
+        assert stats.launched == 0
+
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ValueError):
             HedgedExecutor(_PlainExecutor(ok()), threshold_seconds=0.0)
@@ -262,7 +286,6 @@ class TestEngineHealthWiring:
             stats = engine.stats()
         assert stats.health["status"] == "healthy"
         assert stats.health["components"]["pipeline"]["failure_rate"] == 0.0
-        assert stats.health["probes"]["breaker"] == {"state": "closed"}
-        assert "hedging" in stats.health["probes"]
+        assert stats.breaker_state == "closed"
         assert stats.hedge["calls"] > 0
         assert "hedging" in stats.format()

@@ -236,18 +236,17 @@ class TestServeBenchRobustness:
         )
         assert code == 0
         snapshot = json.loads(metrics_path.read_text())
-        collectors = snapshot["collected"]
-        # collector dicts are flattened into dotted scalar keys
-        bulkheads = collectors["bulkheads"]
-        assert bulkheads["rejected_quarantined"] == 0
-        assert bulkheads["quarantine_threshold"] == 3
-        backends = collectors["backends"]
+        # collector dicts are flattened into dotted scalar keys; the
+        # bulkheads and backends are sections of the serving collector
+        serving = snapshot["collected"]["serving"]
+        assert serving["bulkheads.rejected_quarantined"] == 0
+        assert serving["bulkheads.quarantine_threshold"] == 3
         served = sum(
-            count for key, count in backends.items()
-            if key.startswith("served.")
+            count for key, count in serving.items()
+            if key.startswith("backends.served.")
         )
         # several LLM calls per served request; conservation is what matters
-        assert served == backends["calls"] > 0
+        assert served == serving["backends.calls"] > 0
 
     def test_journal_written_and_report_out(self, tmp_path):
         import json
@@ -292,7 +291,10 @@ class TestServeBenchRobustness:
         assert "un-journaled" in text
         snapshot = metrics_path.read_text()
         assert "repro_storage_journal_disabled_total" in snapshot
-        assert "repro_storage_write_errors_total" in snapshot
+        # the journal keeps its write errors; its collector exports them
+        journal = json.loads(snapshot)["collected"]["journal"]
+        assert journal["disabled"] is True
+        assert any(key.startswith("write_errors.") for key in journal)
 
 
 class TestServeBenchPartnerFlags:
