@@ -4,8 +4,11 @@ self-consistency & vote.
 Each candidate SQL is (optionally) aligned, executed, and — on execution
 errors or empty results — corrected by an LLM call armed with the matching
 error-typed few-shot (paper Listing 3).  The final SQL is selected by
-Equation 3: majority execution result first, shortest execution time as
-the tie-break; error/empty candidates are excluded from the vote.
+Equation 3: majority execution result first, cheapest execution as the
+tie-break; error/empty candidates are excluded from the vote.  Execution
+cost is the deterministic SQLite step count
+(:attr:`~repro.execution.executor.ExecutionOutcome.steps`), so the same
+candidates always elect the same SQL text.
 """
 
 from __future__ import annotations
@@ -82,31 +85,38 @@ def _result_key(outcome: ExecutionOutcome) -> tuple:
     ))
 
 
+def _result_groups(
+    candidates: list[RefinedCandidate],
+) -> list[list[RefinedCandidate]]:
+    """The valid (OK) candidates grouped by execution result, groups and
+    members in candidate order.  Copies that share one outcome object
+    share its key, so each distinct outcome is keyed once."""
+    groups: dict[tuple, list[RefinedCandidate]] = {}
+    keys: dict[int, tuple] = {}
+    for candidate in candidates:
+        outcome = candidate.outcome
+        if outcome is None or outcome.status is not ExecutionStatus.OK:
+            continue
+        key = keys.get(id(outcome))
+        if key is None:
+            key = keys[id(outcome)] = _result_key(outcome)
+        groups.setdefault(key, []).append(candidate)
+    return list(groups.values())
+
+
 def vote(candidates: list[RefinedCandidate]) -> Optional[RefinedCandidate]:
     """Self-consistency & vote (paper Eq. 3).
 
     Excludes candidates that errored or returned empty results, groups the
     rest by execution result, picks the largest group, and within it the
-    candidate with the shortest execution time.
+    candidate whose execution ran the fewest SQLite steps; equal steps go
+    to the first candidate in order.
     """
-    valid = [
-        c
-        for c in candidates
-        if c.outcome is not None and c.outcome.status is ExecutionStatus.OK
-    ]
-    if not valid:
+    groups = _result_groups(candidates)
+    if not groups:
         return None
-    groups: dict[tuple, list[RefinedCandidate]] = {}
-    order: list[tuple] = []
-    for candidate in valid:
-        key = _result_key(candidate.outcome)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(candidate)
-    best_key = max(order, key=lambda key: len(groups[key]))
-    bucket = groups[best_key]
-    return min(bucket, key=lambda c: c.outcome.elapsed_seconds)
+    bucket = max(groups, key=len)
+    return min(bucket, key=lambda c: c.outcome.steps)
 
 
 def vote_share(candidates: list[RefinedCandidate]) -> Optional[float]:
@@ -116,18 +126,10 @@ def vote_share(candidates: list[RefinedCandidate]) -> Optional[float]:
     thin winning group means the vote barely agreed on the answer.
     Returns ``None`` when no candidate executed to a valid (OK) result.
     """
-    valid = [
-        c
-        for c in candidates
-        if c.outcome is not None and c.outcome.status is ExecutionStatus.OK
-    ]
-    if not valid:
+    groups = _result_groups(candidates)
+    if not groups:
         return None
-    groups: dict[tuple, int] = {}
-    for candidate in valid:
-        key = _result_key(candidate.outcome)
-        groups[key] = groups.get(key, 0) + 1
-    return max(groups.values()) / len(valid)
+    return max(map(len, groups)) / sum(map(len, groups))
 
 
 class Refiner:
@@ -242,23 +244,40 @@ class Refiner:
         the align-execute-correct loop.  The execution span is published
         ambiently around each run, so executors and their wrappers
         (fault injection, hedging) attach their events to it.
+
+        Sampled candidates repeat: each distinct SQL text is aligned and
+        executed once per call, and its copies share the result.  A
+        transient outcome (timeout, lock, disk or connection fault) is not
+        shared; the next copy executes again.  Corrections are still asked
+        for once per copy.
         """
         config = self.config
         align_span = span.child("alignment") if span is not None else None
         exec_span = span.child("execution") if span is not None else None
+        aligned_by_sql: dict[str, str] = {}
+        outcome_by_sql: dict[str, ExecutionOutcome] = {}
 
         def align_traced(sql: str) -> str:
+            aligned = aligned_by_sql.get(sql)
+            if aligned is not None:
+                return aligned
             # Alignment probes the database (value checks); publishing the
             # alignment span attributes those executions to it.
             with use_span(align_span):
-                aligned = self.align(sql, pre, executor)
+                aligned = aligned_by_sql[sql] = self.align(sql, pre, executor)
             if align_span is not None:
                 align_span.event("align", changed=aligned.strip() != sql.strip())
             return aligned
 
         def execute_traced(sql: str) -> ExecutionOutcome:
+            outcome = outcome_by_sql.get(sql)
+            if outcome is not None:
+                return outcome
             with use_span(exec_span):
-                return executor.execute(sql, deadline)
+                outcome = executor.execute(sql, deadline)
+            if not outcome.status.is_transient:
+                outcome_by_sql[sql] = outcome
+            return outcome
 
         refined: list[RefinedCandidate] = []
         truncated = False

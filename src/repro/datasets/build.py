@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.datasets.types import Example, ValueMention
-from repro.execution.executor import ExecutionStatus, SQLExecutor
+from repro.execution.executor import ExecutionStatus, SQLExecutor, connect_in_memory
 from repro.schema.model import Database
 from repro.schema.serialize import schema_to_ddl
 from repro.sqlkit.parser import ParseError, parse_select
@@ -185,14 +185,11 @@ def _enrich_schema(schema: Database, rows: dict[str, list[tuple]]) -> Database:
 
 def build_database(spec: DomainSpec, rng: np.random.Generator) -> tuple[BuiltDatabase, DomainContext]:
     """Create and populate an in-memory SQLite database for ``spec``."""
-    # check_same_thread=False: serving workers execute on the building
-    # thread's connection; SQLExecutor serializes access with a per-
-    # connection lock, which is the supported pattern for sqlite3.
     ddl = schema_to_ddl(spec.schema)
     rows = spec.populate(rng)
 
     def _open() -> sqlite3.Connection:
-        conn = sqlite3.connect(":memory:", check_same_thread=False)
+        conn = connect_in_memory()
         conn.executescript(ddl)
         for table in spec.schema.tables:
             data = rows.get(table.name, [])

@@ -24,6 +24,7 @@ from typing import Union
 
 from repro.datasets.build import Benchmark, BuiltDatabase
 from repro.datasets.types import Example, ValueMention
+from repro.execution.executor import connect_in_memory
 from repro.schema.introspect import introspect_sqlite
 from repro.schema.model import Database
 
@@ -127,8 +128,7 @@ def load_benchmark(root: Union[str, Path]) -> Benchmark:
     databases: dict[str, BuiltDatabase] = {}
     for db_id in manifest["databases"]:
         disk = sqlite3.connect(root / "databases" / f"{db_id}.sqlite")
-        # Same cross-thread policy as build_database: executors lock.
-        memory = sqlite3.connect(":memory:", check_same_thread=False)
+        memory = connect_in_memory()
         disk.backup(memory)
         disk.close()
         metadata = json.loads(

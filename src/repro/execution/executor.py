@@ -30,6 +30,7 @@ __all__ = [
     "ExecutionOutcome",
     "SQLExecutor",
     "TRANSIENT_STATUSES",
+    "connect_in_memory",
     "results_match",
     "normalize_rows",
 ]
@@ -82,6 +83,12 @@ class ExecutionOutcome:
     columns: tuple[str, ...] = ()
     error: Optional[str] = None
     elapsed_seconds: float = 0.0
+    #: deterministic execution cost: how many times the progress handler
+    #: ran during the statement, once per :data:`PROGRESS_PERIOD` SQLite VM
+    #: steps.  On a :func:`connect_in_memory` connection the same statement
+    #: on the same data always counts the same; ``elapsed_seconds`` is wall
+    #: time and carries timer noise.
+    steps: int = 0
 
     @property
     def ok(self) -> bool:
@@ -104,6 +111,10 @@ TRANSIENT_STATUSES = frozenset(
         ExecutionStatus.CONNECTION_ERROR,
     }
 )
+
+#: SQLite VM steps between two progress-handler calls: the timeout
+#: guard's clock check and the unit of :attr:`ExecutionOutcome.steps`
+PROGRESS_PERIOD = 1_000
 
 _MISSING_COLUMN = re.compile(r"no such column", re.IGNORECASE)
 _MISSING_TABLE = re.compile(r"no such table", re.IGNORECASE)
@@ -134,6 +145,21 @@ def classify_sqlite_error(message: str) -> ExecutionStatus:
     if _CONNECTION.search(message):
         return ExecutionStatus.CONNECTION_ERROR
     return ExecutionStatus.OTHER_ERROR
+
+
+def connect_in_memory() -> sqlite3.Connection:
+    """Open an empty in-memory database for :class:`SQLExecutor` to run on.
+
+    ``check_same_thread=False``: serving workers execute on the building
+    thread's connection, and every executor over it serializes statements
+    with one lock, which is the supported pattern for sqlite3.
+
+    ``cached_statements=0``: SQLite paces progress-handler calls by a
+    statement's lifetime step total, so a cached statement run again would
+    count by its history.  Prepared afresh, a statement's
+    :attr:`ExecutionOutcome.steps` depends only on it and the data.
+    """
+    return sqlite3.connect(":memory:", check_same_thread=False, cached_statements=0)
 
 
 # One lock per live SQLite connection: the progress-handler + cursor pair
@@ -262,9 +288,11 @@ class SQLExecutor:
                 )
         cutoff = time.perf_counter() + timeout
         timed_out = False
+        steps = 0
 
         def guard():
-            nonlocal timed_out
+            nonlocal timed_out, steps
+            steps += 1
             if time.perf_counter() > cutoff:
                 timed_out = True
                 return 1  # non-zero aborts the statement
@@ -272,7 +300,7 @@ class SQLExecutor:
 
         start = time.perf_counter()
         try:
-            self._connection.set_progress_handler(guard, 10_000)
+            self._connection.set_progress_handler(guard, PROGRESS_PERIOD)
         except sqlite3.ProgrammingError as exc:
             # A closed/dropped connection fails before any statement runs.
             return ExecutionOutcome(
@@ -290,6 +318,7 @@ class SQLExecutor:
                 rows=normalized,
                 columns=columns,
                 elapsed_seconds=elapsed,
+                steps=steps,
             )
         except sqlite3.OperationalError as exc:
             elapsed = time.perf_counter() - start
@@ -302,7 +331,9 @@ class SQLExecutor:
                 status = ExecutionStatus.TIMEOUT
             else:
                 status = classify_sqlite_error(message)
-            return ExecutionOutcome(status=status, error=message, elapsed_seconds=elapsed)
+            return ExecutionOutcome(
+                status=status, error=message, elapsed_seconds=elapsed, steps=steps
+            )
         except sqlite3.ProgrammingError as exc:
             elapsed = time.perf_counter() - start
             message = str(exc)
@@ -310,13 +341,16 @@ class SQLExecutor:
                 status = ExecutionStatus.CONNECTION_ERROR
             else:
                 status = ExecutionStatus.OTHER_ERROR
-            return ExecutionOutcome(status=status, error=message, elapsed_seconds=elapsed)
+            return ExecutionOutcome(
+                status=status, error=message, elapsed_seconds=elapsed, steps=steps
+            )
         except sqlite3.Error as exc:
             elapsed = time.perf_counter() - start
             return ExecutionOutcome(
                 status=classify_sqlite_error(str(exc)),
                 error=str(exc),
                 elapsed_seconds=elapsed,
+                steps=steps,
             )
         finally:
             try:

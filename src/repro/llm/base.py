@@ -9,20 +9,21 @@ from typing import Optional, Protocol, runtime_checkable
 __all__ = ["TokenUsage", "ChatTurn", "LLMResponse", "LLMClient", "count_tokens"]
 
 _TOKEN_PATTERN = re.compile(r"\w+|[^\w\s]")
+#: words of 7+ characters, the only ones a surcharge applies to
+_LONG_WORD = re.compile(r"\w{7,}")
 
 
 def count_tokens(text: str) -> int:
     """Approximate token count of ``text``.
 
-    Words and punctuation marks count one token each, plus a surcharge for
-    long words (BPE splits them).  Close enough to GPT-style tokenizers for
-    the cost accounting in Table 6; exactness is not required there.
+    Words and punctuation marks count one token each, plus a surcharge of
+    ``(len - 1) // 6`` for long words (BPE splits them).  Close enough to
+    GPT-style tokenizers for the cost accounting in Table 6; exactness is
+    not required there.
     """
-    tokens = 0
-    for match in _TOKEN_PATTERN.finditer(text):
-        piece = match.group()
-        tokens += 1 + max(0, (len(piece) - 1) // 6)
-    return tokens
+    return len(_TOKEN_PATTERN.findall(text)) + sum(
+        (len(word) - 1) // 6 for word in _LONG_WORD.findall(text)
+    )
 
 
 @dataclass(frozen=True)

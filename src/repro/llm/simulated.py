@@ -27,12 +27,13 @@ runs do not grow memory without limit.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.caching import LRUCache
-from repro.datasets.types import Example
+from repro.datasets.types import Example, ValueMention
 from repro.llm import noise
 from repro.llm._noise_wrongcol import wrong_filter_column
 from repro.llm.base import LLMResponse, TokenUsage, count_tokens
@@ -95,6 +96,36 @@ _TRICK_TRAITS = ("needs_distinct", "date_format", "evidence_formula")
 #: style-family traits handled by the style_break channel
 _STYLE_TRAITS = ("nullable_min", "max_vs_limit")
 
+
+@dataclass(frozen=True)
+class _GenerationPlan:
+    """What one generation call decides once for all its candidates.
+
+    ``statement`` is the gold SQL-Like after the hard-fail channel, and the
+    other per-question channels are settled: ``mentions`` pairs each value
+    mention with the wrong stored value it is confused with (or None), and
+    ``tricks`` pairs each trick trait with its correlated miss.  A
+    per-candidate channel fires when its draw falls under its ``*_rate``
+    (0 closes it); a dirty mention's value is corrupted when its draw
+    exceeds its rate in ``value_ok_rates``.
+    """
+
+    task: GenerationTask
+    qid: str
+    temperature: float
+    statement: SQLLike
+    mentions: list[tuple[ValueMention, Optional[str]]]
+    value_ok_rates: list[tuple[str, float]]
+    tricks: list[tuple[str, bool]]
+    trick_rate: float
+    style: bool
+    agg_rate: float
+    shape: bool
+    column_rate: float
+    wrongcol: bool
+    join_rate: float
+    syntax_base: bool
+    syntax_rate: float
 
 
 class SimulatedLLM:
@@ -159,9 +190,12 @@ class SimulatedLLM:
 
     def _respond(self, prompt: str, texts: list[str]) -> list[LLMResponse]:
         prompt_tokens = count_tokens(prompt)
+        counted: dict[str, int] = {}
         responses = []
         for index, text in enumerate(texts):
-            completion_tokens = count_tokens(text)
+            completion_tokens = counted.get(text)
+            if completion_tokens is None:
+                completion_tokens = counted[text] = count_tokens(text)
             # The prompt is charged once per call (beam search shares it).
             charged = prompt_tokens if index == 0 else 0
             responses.append(
@@ -186,9 +220,17 @@ class SimulatedLLM:
     ) -> list[LLMResponse]:
         """Produce ``n`` completions for the task attached to the prompt."""
         if isinstance(task, GenerationTask):
-            texts = [
-                self._generate_one(task, temperature, index) for index in range(n)
-            ]
+            # Candidates collapse onto a few outcome tuples, and a tuple
+            # fixes the text: build each distinct one once.
+            plan = self._plan(task, temperature)
+            built: dict[tuple, str] = {}
+            texts = []
+            for index in range(n):
+                outcomes = self._outcomes(plan, index)
+                text = built.get(outcomes)
+                if text is None:
+                    text = built[outcomes] = self._build(plan, outcomes)
+                texts.append(text)
             return self._respond(prompt, texts)
         if isinstance(task, CoTAugmentTask):
             return self._respond(prompt, [self._cot_augment(task)])
@@ -234,17 +276,19 @@ class SimulatedLLM:
     # ------------------------------------------------------ generation core
 
     def _generate_one(self, task: GenerationTask, temperature: float, index: int) -> str:
+        """Candidate ``index`` of a generation call, built on its own."""
+        plan = self._plan(task, temperature)
+        return self._build(plan, self._outcomes(plan, index))
+
+    def _plan(self, task: GenerationTask, temperature: float) -> "_GenerationPlan":
+        """The per-call part of a generation: every per-question draw and
+        every channel threshold.  Only the per-candidate draws are left to
+        :meth:`_outcomes`."""
         example = task.oracle
         features = task.features
         skill = self.skill
         _gold_select, gold_like = self._gold(example)
         qid = example.question_id
-
-        def draw(channel: str) -> float:
-            # At temperature 0 every candidate shares one draw; above it the
-            # draws are independent per candidate.
-            candidate = index if temperature > 0 else "t0"
-            return self._uniform(qid, channel, candidate)
 
         difficulty = skill.difficulty_scale(example.difficulty)
         fewshot = skill.fewshot_factor(features.fewshot_kind)
@@ -271,27 +315,30 @@ class SimulatedLLM:
         if self._uniform(qid, "hard_fail") < hard_p:
             statement = self._hard_fail(statement, qid)
 
-        # Value channel: one draw per dirty mention.
+        # Value channel: one per-candidate draw per dirty mention.
+        mentions = []
+        value_ok_rates = []
         for mention in example.value_mentions:
             provided = any(
                 mention.stored in value for value in features.provided_values
             )
             if mention.is_dirty:
-                ok_rate = (
-                    skill.value_follow_rate if provided else skill.value_guess_rate
+                value_ok_rates.append(
+                    (
+                        f"value:{mention.stored}",
+                        skill.value_follow_rate if provided else skill.value_guess_rate,
+                    )
                 )
-                if draw(f"value:{mention.stored}") > ok_rate:
-                    statement = noise.corrupt_value(statement, mention)
             # Value confusion: resolving the mention to a plausible-but-WRONG
             # stored value.  Correlated across candidates (the model misreads
             # consistently) and invisible to agent alignment because the
             # wrong value genuinely exists in the column; values retrieval
             # pins the right value and suppresses this almost entirely.
             confuse_p = (0.1 if provided else 1.0) * skill.value_confuse_rate
+            wrong = None
             if self._uniform(qid, f"vconf:{mention.stored}") < confuse_p * difficulty:
                 wrong = self._confusable_value(task.schema, mention)
-                if wrong is not None:
-                    statement = self._swap_literal(statement, mention.stored, wrong)
+            mentions.append((mention, wrong))
 
         # Trick channels: a skill-dependent share of the miss probability
         # is correlated (the model consistently misreads the trick); the
@@ -299,59 +346,138 @@ class SimulatedLLM:
         # unless the per-candidate rate crosses 0.5, in which case a large
         # vote locks the (identical-content) error in.
         share = skill.trick_correlated_share
-        for trait in example.traits:
-            if trait not in _TRICK_TRAITS:
-                continue
-            p = min(0.95, skill.trick_miss_rate * difficulty * fewshot * cot)
-            fired = (
-                self._uniform(qid, f"trickc:{trait}") < share * p
-                or draw(f"trick:{trait}") < (1.0 - share) * p
-            )
-            if fired:
-                statement = noise.miss_trick(
-                    statement, trait, self._content_rng(qid, "trick", trait)
-                )
+        p = min(0.95, skill.trick_miss_rate * difficulty * fewshot * cot)
+        tricks = [
+            (trait, self._uniform(qid, f"trickc:{trait}") < share * p)
+            for trait in example.traits
+            if trait in _TRICK_TRAITS
+        ]
+        trick_rate = (1.0 - share) * p
 
         # Style channel — correlated: a model with a style drift drifts
         # consistently across samples, which is why Style Alignment (a rule,
         # not a vote) is the fix the paper reaches for.
+        style = False
         if any(trait in _STYLE_TRAITS for trait in example.traits):
             p = min(0.95, skill.style_break_rate * difficulty * fewshot)
-            if self._uniform(qid, "style") < p:
-                statement = noise.break_style(statement, self._content_rng(qid, "style"))
+            style = self._uniform(qid, "style") < p
 
         # Aggregate misuse.
+        agg_rate = 0.0
         if gold_like.order_by and not gold_like.group_by:
-            p = min(0.9, skill.agg_misuse_rate * difficulty * cot)
-            if draw("agg") < p:
-                statement = noise.inject_agg_misuse(statement)
+            agg_rate = min(0.9, skill.agg_misuse_rate * difficulty * cot)
 
         # SELECT shape — correlated: the model's reading of "what outputs
         # does the question want" is stable across samples, which is why the
         # paper fixes it with Info Alignment hints rather than voting.
+        shape = False
         if len(gold_like.items) > 1 or "max_vs_limit" in example.traits:
             p = skill.select_shape_rate * difficulty * cot
             if features.select_hints:
                 p *= skill.select_hint_factor
-            if self._uniform(qid, "shape") < min(0.9, p):
-                statement = noise.break_select_shape(
-                    statement, self._content_rng(qid, "shape")
-                )
+            shape = self._uniform(qid, "shape") < min(0.9, p)
 
         # Column confusion driven by same-name distractors in the prompt.
+        column_rate = 0.0
         distractors = self._distractor_count(gold_like, task.schema)
         if distractors:
             p = 1.0 - (1.0 - skill.column_confusion_per_distractor) ** distractors
-            if draw("column") < min(0.9, p * difficulty):
-                statement = noise.misqualify_column(
-                    statement, task.schema, self._content_rng(qid, "column")
-                )
+            column_rate = min(0.9, p * difficulty)
 
         # Wrong filter column: scales with how much irrelevant schema the
         # prompt shows — this is the channel column filtering exists to close.
         excess = max(0, features.schema_column_count - 10)
         p_wrong = min(0.5, skill.wrong_column_rate * excess / 100.0) * difficulty
-        if p_wrong > 0 and self._uniform(qid, "wrongcol") < p_wrong:
+        wrongcol = p_wrong > 0 and self._uniform(qid, "wrongcol") < p_wrong
+
+        # Join corruption, applied only to a statement assembled with joins.
+        extra_tables = max(0, features.schema_table_count - 1)
+        join_rate = min(0.6, skill.join_error_per_table * extra_tables * difficulty)
+
+        # Syntax channel: the base component is correlated (a query shape
+        # the model consistently fumbles — only Correction can fix it); the
+        # temperature component is per-candidate sampling noise.
+        syntax_base = self._uniform(qid, "syntax_base") < skill.syntax_error_base * 2
+        syntax_rate = skill.syntax_error_temp_slope * temperature
+
+        return _GenerationPlan(
+            task=task,
+            qid=qid,
+            temperature=temperature,
+            statement=statement,
+            mentions=mentions,
+            value_ok_rates=value_ok_rates,
+            tricks=tricks,
+            trick_rate=trick_rate,
+            style=style,
+            agg_rate=agg_rate,
+            shape=shape,
+            column_rate=column_rate,
+            wrongcol=wrongcol,
+            join_rate=join_rate,
+            syntax_base=syntax_base,
+            syntax_rate=syntax_rate,
+        )
+
+    def _outcomes(self, plan: "_GenerationPlan", index: int) -> tuple:
+        """Candidate ``index``'s per-candidate channel flags.
+
+        The only part of a completion that depends on the candidate: two
+        candidates with equal outcomes get equal text."""
+        # At temperature 0 every candidate shares one draw; above it the
+        # draws are independent per candidate.
+        candidate = index if plan.temperature > 0 else "t0"
+        qid = plan.qid
+
+        def fired(channel: str, rate: float) -> bool:
+            return rate > 0 and self._uniform(qid, channel, candidate) < rate
+
+        return (
+            tuple(
+                self._uniform(qid, channel, candidate) > ok_rate
+                for channel, ok_rate in plan.value_ok_rates
+            ),
+            tuple(
+                correlated or fired(f"trick:{trait}", plan.trick_rate)
+                for trait, correlated in plan.tricks
+            ),
+            fired("agg", plan.agg_rate),
+            fired("column", plan.column_rate),
+            fired("join", plan.join_rate),
+            plan.syntax_base or fired("syntax", plan.syntax_rate),
+        )
+
+    def _build(self, plan: "_GenerationPlan", outcomes: tuple) -> str:
+        """The completion text for one tuple of channel outcomes."""
+        values, tricks, agg, column, join, syntax = outcomes
+        task = plan.task
+        qid = plan.qid
+        statement = plan.statement
+
+        dirty = iter(values)
+        for mention, wrong in plan.mentions:
+            if mention.is_dirty and next(dirty):
+                statement = noise.corrupt_value(statement, mention)
+            if wrong is not None:
+                statement = self._swap_literal(statement, mention.stored, wrong)
+        for (trait, _correlated), missed in zip(plan.tricks, tricks):
+            if missed:
+                statement = noise.miss_trick(
+                    statement, trait, self._content_rng(qid, "trick", trait)
+                )
+        if plan.style:
+            statement = noise.break_style(statement, self._content_rng(qid, "style"))
+        if agg:
+            statement = noise.inject_agg_misuse(statement)
+        if plan.shape:
+            statement = noise.break_select_shape(
+                statement, self._content_rng(qid, "shape")
+            )
+        if column:
+            statement = noise.misqualify_column(
+                statement, task.schema, self._content_rng(qid, "column")
+            )
+        if plan.wrongcol:
             statement = wrong_filter_column(
                 statement, task.schema, self._content_rng(qid, "wrongcol")
             )
@@ -359,27 +485,21 @@ class SimulatedLLM:
         # Assemble the full SQL through the prompt schema's FK graph.
         sql_text, assembled = self._assemble(statement, task.schema, qid)
 
-        if assembled is not None and assembled.joins:
-            extra_tables = max(0, features.schema_table_count - 1)
-            p = min(0.6, skill.join_error_per_table * extra_tables * difficulty)
-            if draw("join") < p:
-                assembled = noise.corrupt_join(
-                    assembled, task.schema, self._content_rng(qid, "join")
-                )
-                sql_text = render(assembled)
+        if join and assembled is not None and assembled.joins:
+            assembled = noise.corrupt_join(
+                assembled, task.schema, self._content_rng(qid, "join")
+            )
+            sql_text = render(assembled)
 
-        # Syntax channel: the base component is correlated (a query shape
-        # the model consistently fumbles — only Correction can fix it); the
-        # temperature component is per-candidate sampling noise.
-        base_fired = self._uniform(qid, "syntax_base") < skill.syntax_error_base * 2
-        temp_fired = draw("syntax") < skill.syntax_error_temp_slope * temperature
-        if base_fired or temp_fired:
+        if syntax:
             broken = noise.corrupt_syntax(sql_text, self._content_rng(qid, "syntax"))
             if broken != sql_text:
                 self._syntax_cache[broken] = sql_text
                 sql_text = broken
 
-        return self._render_cot(example, statement, sql_text, features.cot_mode)
+        return self._render_cot(
+            task.oracle, statement, sql_text, task.features.cot_mode
+        )
 
     def _hard_fail(self, statement: SQLLike, qid: str) -> SQLLike:
         """A semantically wrong — but executable — misreading of the

@@ -57,13 +57,14 @@ from repro.serving.journal import JournalCorruptionError, ServingJournal
 
 __all__ = ["ShardCoordinator", "ShardUnavailableError", "ClusterStats"]
 
-#: worker lifecycle states
-SPAWNING, READY, DEAD, RESTARTING, REMOVED = (
+#: worker lifecycle states; ``stopped`` is a worker that exited on shutdown
+SPAWNING, READY, DEAD, RESTARTING, REMOVED, STOPPED = (
     "spawning",
     "ready",
     "dead",
     "restarting",
     "removed",
+    "stopped",
 )
 
 
@@ -102,6 +103,8 @@ class _WorkerHandle:
         self.segment_path = segment_path
         self.process: Optional[multiprocessing.Process] = None
         self.conn = None
+        #: the pipe reader of the current process generation
+        self.receiver: Optional[threading.Thread] = None
         self.state = SPAWNING
         self.conn_closed = False
         self.last_heartbeat = time.monotonic()
@@ -180,7 +183,6 @@ class ShardCoordinator:
         #: stops the pipe receivers, once every drained worker has reported
         self._stop = threading.Event()
         self._supervisor: Optional[threading.Thread] = None
-        self._threads: list[threading.Thread] = []
         self._started = False
         #: requests submitted; also the next seq when the caller gives none
         self._dispatched = 0
@@ -236,14 +238,13 @@ class ShardCoordinator:
         handle.state = SPAWNING
         handle.spawned_at = time.monotonic()
         handle.last_heartbeat = time.monotonic()
-        receiver = threading.Thread(
+        handle.receiver = threading.Thread(
             target=self._receive,
             args=(handle, parent_conn),
             name=f"cluster-recv-{handle.id}",
             daemon=True,
         )
-        receiver.start()
-        self._threads.append(receiver)
+        handle.receiver.start()
 
     def __enter__(self) -> "ShardCoordinator":
         return self.start()
@@ -637,7 +638,8 @@ class ShardCoordinator:
 
         Supervision stops first: a worker exiting because it was told to
         drain is not a death, so a clean shutdown counts none and
-        restarts nothing.
+        restarts nothing.  Every worker that has exited ends ``stopped``
+        (a removed one stays ``removed``), and each pipe reader is joined.
         """
         self._draining.set()
         if self._supervisor is not None:
@@ -665,6 +667,9 @@ class ShardCoordinator:
             if handle.process is not None and handle.process.is_alive():
                 self._kill_process(handle)
                 handle.process.join(timeout=5)
+            # the process has exited, so its reader sees end-of-pipe
+            if handle.receiver is not None:
+                handle.receiver.join(timeout=5)
             try:
                 if handle.conn is not None:
                     handle.conn.close()
@@ -674,6 +679,9 @@ class ShardCoordinator:
         # caller blocked on a Future
         with self._lock:
             for handle in self._workers.values():
+                exited = handle.process is None or not handle.process.is_alive()
+                if exited and handle.state != REMOVED:
+                    handle.state = STOPPED
                 for request in list(handle.outstanding.values()) + handle.pending:
                     if not request.future.done():
                         self._resolve_shed(request, "coordinator shut down")

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import dataclass
 
 import pytest
 
@@ -73,6 +74,44 @@ def spider_benchmark():
 @pytest.fixture(scope="session")
 def llm():
     return SimulatedLLM(GPT_4O, seed=0)
+
+
+@dataclass
+class RecordedCall:
+    """One ``complete`` call: its arguments and the responses it got."""
+
+    prompt: str
+    temperature: float
+    n: int
+    task: object
+    responses: list
+
+
+class _Recorder:
+    """Delegates to a client and keeps every call in memory."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.model_name = inner.model_name
+        self.calls: list[RecordedCall] = []
+
+    def complete(self, prompt, *, temperature=0.0, n=1, task=None):
+        responses = self.inner.complete(
+            prompt, temperature=temperature, n=n, task=task
+        )
+        self.calls.append(RecordedCall(prompt, temperature, n, task, responses))
+        return responses
+
+
+@pytest.fixture(scope="session")
+def bird_dev_run(bird_benchmark):
+    """The paper configuration answering the whole BIRD-like dev split:
+    ``(results, calls)``, with every LLM call made while answering."""
+    pipeline = OpenSearchSQL(bird_benchmark, SimulatedLLM(GPT_4O, seed=0))
+    recorder = _Recorder(pipeline.llm)
+    pipeline.rebind_llm(recorder)
+    results = [pipeline.answer(example) for example in bird_benchmark.dev]
+    return results, recorder.calls
 
 
 @pytest.fixture(scope="session")

@@ -8,12 +8,14 @@ from repro.core.refinement import RefinedCandidate, Refiner, vote
 from repro.execution.executor import ExecutionOutcome, ExecutionStatus
 
 
-def candidate(sql, rows, status=ExecutionStatus.OK, elapsed=0.01):
+def candidate(sql, rows, status=ExecutionStatus.OK, elapsed=0.01, steps=0):
     return RefinedCandidate(
         raw_sql=sql,
         aligned_sql=sql,
         final_sql=sql,
-        outcome=ExecutionOutcome(status=status, rows=rows, elapsed_seconds=elapsed),
+        outcome=ExecutionOutcome(
+            status=status, rows=rows, elapsed_seconds=elapsed, steps=steps
+        ),
     )
 
 
@@ -51,14 +53,24 @@ class TestVote:
         assert vote([candidate("e", (), status=ExecutionStatus.EMPTY)]) is None
 
     def test_tie_break_shortest_time(self):
+        # Execution time is the deterministic step count; the wall-clock
+        # elapsed time (here pointing the other way) is not consulted.
         winner = vote(
             [
-                candidate("slow", ((1,),), elapsed=0.5),
-                candidate("fast", ((1,),), elapsed=0.001),
-                candidate("other", ((2,),), elapsed=0.0001),
+                candidate("slow", ((1,),), elapsed=0.001, steps=500),
+                candidate("fast", ((1,),), elapsed=0.5, steps=2),
+                candidate("other", ((2,),), elapsed=0.0001, steps=0),
             ]
         )
         assert winner.final_sql == "fast"
+        # equal steps: the first candidate in order wins
+        winner = vote(
+            [
+                candidate("first", ((1,),), elapsed=0.5, steps=3),
+                candidate("second", ((1,),), elapsed=0.001, steps=3),
+            ]
+        )
+        assert winner.final_sql == "first"
 
     def test_row_order_insensitive_grouping(self):
         winner = vote(

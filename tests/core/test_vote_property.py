@@ -1,5 +1,7 @@
 """Property-based tests of the self-consistency vote (paper Eq. 3)."""
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +38,8 @@ def candidates(draw):
                     elapsed_seconds=draw(
                         st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
                     ),
+                    # a narrow range, so groups often hold equal costs
+                    steps=draw(st.integers(min_value=0, max_value=3)),
                 ),
             )
         )
@@ -72,6 +76,8 @@ class TestVoteProperties:
     @settings(max_examples=200, deadline=None)
     @given(candidates())
     def test_winner_fastest_within_group(self, cands):
+        # "fastest" is the fewest SQLite steps; equal steps go to the
+        # first candidate of the group
         winner = vote(cands)
         if winner is None:
             return
@@ -81,9 +87,29 @@ class TestVoteProperties:
             if c.outcome.status is ExecutionStatus.OK
             and result_key(c) == result_key(winner)
         ]
-        assert winner.outcome.elapsed_seconds == min(
-            c.outcome.elapsed_seconds for c in group
-        )
+        cheapest = min(c.outcome.steps for c in group)
+        assert winner is next(c for c in group if c.outcome.steps == cheapest)
+
+    @settings(max_examples=200, deadline=None)
+    @given(candidates(), st.data())
+    def test_wall_time_never_changes_the_pick(self, cands, data):
+        retimed = [
+            replace(
+                c,
+                outcome=replace(
+                    c.outcome,
+                    elapsed_seconds=data.draw(
+                        st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+                    ),
+                ),
+            )
+            for c in cands
+        ]
+        winner, other = vote(cands), vote(retimed)
+        if winner is None:
+            assert other is None
+        else:
+            assert cands.index(winner) == retimed.index(other)
 
     @settings(max_examples=100, deadline=None)
     @given(candidates())

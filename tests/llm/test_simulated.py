@@ -5,11 +5,13 @@ These tests pin the causal contract in DESIGN.md: each prompt feature must
 *reduce* the firing rate of its channel, measured over many questions.
 """
 
+import hashlib
+
 import pytest
 
 from repro.datasets.types import Example, ValueMention
 from repro.llm.simulated import SimulatedLLM
-from repro.llm.skills import GPT_4O_MINI
+from repro.llm.skills import GPT_4O, GPT_4O_MINI
 from repro.llm.tasks import (
     ColumnSelectionTask,
     CorrectionTask,
@@ -435,3 +437,50 @@ class TestCorrection:
             if "STRFTIME" in response.text.upper():
                 repaired += 1
         assert repaired > 20
+
+
+#: SHA-256 of :func:`generation_digest` over the paper configuration's
+#: answers to the BIRD-like dev split (the ``bird_dev_run`` fixture)
+DEV_GENERATION_SHA256 = (
+    "d472afbce8d1cc2e9916923e7fefc44224d42773a9c10fb6be343f93a0af46cd"
+)
+
+
+def generation_digest(calls) -> str:
+    """Hash every generation completion, in call order, with its token
+    counts."""
+    digest = hashlib.sha256()
+    for call in calls:
+        if not isinstance(call.task, GenerationTask):
+            continue
+        for response in call.responses:
+            usage = response.usage
+            digest.update(
+                f"{usage.prompt_tokens} {usage.completion_tokens} "
+                f"{response.text}\n".encode()
+            )
+    return digest.hexdigest()
+
+
+class TestDevSplitReference:
+    """``complete`` builds each distinct candidate once per call; building
+    every candidate on its own with ``_generate_one`` is the reference."""
+
+    def test_complete_equals_per_candidate_loop(self, bird_dev_run):
+        results, calls = bird_dev_run
+        llm = SimulatedLLM(GPT_4O, seed=0)
+        generations = [c for c in calls if isinstance(c.task, GenerationTask)]
+        assert len(generations) >= len(results)
+        for call in generations:
+            for temperature in (call.temperature, 0.0):
+                responses = llm.complete(
+                    call.prompt, temperature=temperature, n=call.n, task=call.task
+                )
+                assert [r.text for r in responses] == [
+                    llm._generate_one(call.task, temperature, index)
+                    for index in range(call.n)
+                ]
+
+    def test_dev_completions_and_token_counts_are_pinned(self, bird_dev_run):
+        _results, calls = bird_dev_run
+        assert generation_digest(calls) == DEV_GENERATION_SHA256

@@ -131,7 +131,11 @@ class TestClusterServing:
         after = coordinator.stats()
         assert (after["deaths"], after["restarts"], after["rebalances"]) == (0, 0, 0)
         states = {worker["state"] for worker in after["workers"].values()}
-        assert not states & {"restarting", "spawning", "dead"}
+        assert states == {"stopped"}
+        # every drained worker has exited and its pipe reader is joined
+        for handle in coordinator._workers.values():
+            assert not handle.process.is_alive()
+            assert not handle.receiver.is_alive()
         # Without metrics= the coordinator counts in a registry of its own,
         # and stats() reads the counts back from it.
         exported = coordinator.metrics.snapshot()["metrics"]

@@ -114,7 +114,8 @@ class TestRefinementTruncation:
             DbFaultPlan(slow_query=1.0, slow_seconds=6.0),
         )
         deadline = Deadline(10.0)  # first execution charges 6s; second trips
-        sqls = [example.gold_sql] * 3
+        # three distinct texts: copies of one text would execute only once
+        sqls = [f"{example.gold_sql} LIMIT {k}" for k in (1, 2, 3)]
         result = fresh_pipeline.refiner.run(
             example, sqls, pre, extraction, executor, deadline=deadline
         )
@@ -130,7 +131,9 @@ class TestRefinementTruncation:
             )
         )
         try:
-            result = fresh_pipeline.answer(example, deadline=Deadline(1e6))
+            # the first slow execution (6e5 s) exhausts the budget, so the
+            # candidates after it are truncated
+            result = fresh_pipeline.answer(example, deadline=Deadline(5e5))
         finally:
             fresh_pipeline.set_executor_wrapper(None)
         events = [

@@ -106,6 +106,21 @@ class TestReproducibility:
 
         assert run() == run()
 
+    def test_fresh_pipelines_pick_identical_final_sql(
+        self, bird_benchmark, bird_dev_run
+    ):
+        """The vote breaks ties by SQLite step count, never by wall time,
+        so a second pipeline elects the same SQL text on every question."""
+        results, _calls = bird_dev_run
+        twin = OpenSearchSQL(bird_benchmark, SimulatedLLM(GPT_4O, seed=0))
+        differing = [
+            result.question_id
+            for result, example in zip(results, bird_benchmark.dev)
+            if twin.answer(example).final_sql != result.final_sql
+        ]
+        assert len(results) == len(bird_benchmark.dev)
+        assert differing == []
+
     def test_hnsw_config_close_to_flat(self, bird_benchmark, mini):
         flat = ablated_report(bird_benchmark, mini[:40])
         pipeline = OpenSearchSQL(
