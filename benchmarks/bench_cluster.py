@@ -29,6 +29,7 @@ sub-second.  Sizes shrink under ``REPRO_SERVING_SMOKE=1`` for CI.
 import json
 import os
 
+from repro.evaluation import assemble_report
 from repro.serving import (
     ClusterConfig,
     ServingEngine,
@@ -36,7 +37,6 @@ from repro.serving import (
     ShardCoordinator,
     ShardUnavailableError,
     ShardedJournalView,
-    assemble_report,
     recover_run,
     zipf_workload,
 )
@@ -82,19 +82,19 @@ def _reference_doc(tmp_dir, workload):
         stack.pipeline, workers=1, result_cache_size=512, journal=journal
     ) as engine:
         engine.run(workload)
-    clean = stack.clean_pipeline()
     outcomes = recover_run(
-        ServingJournal(tmp_dir / "reference" / "single.jsonl"), clean, workload
+        ServingJournal(tmp_dir / "reference" / "single.jsonl"), stack.pipeline,
+        workload,
     )
-    report = assemble_report(outcomes, workload, clean)
+    report = assemble_report(outcomes, workload, stack.benchmark)
     return json.dumps(report.deterministic_dict(), sort_keys=True)
 
 
 def _recovered_doc(config, workload):
     view = ShardedJournalView(config.journal_dir)
-    clean = build(config.spec).clean_pipeline()
-    outcomes = recover_run(view, clean, workload)
-    report = assemble_report(outcomes, workload, clean)
+    stack = build(config.spec)
+    outcomes = recover_run(view, stack.pipeline, workload)
+    report = assemble_report(outcomes, workload, stack.benchmark)
     return view, json.dumps(report.deterministic_dict(), sort_keys=True)
 
 

@@ -37,6 +37,7 @@ import os
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import OpenSearchSQL
 from repro.evaluation.metrics import execution_accuracy, score_example
+from repro.evaluation.runner import assemble_report
 from repro.evaluation.report import format_table
 from repro.llm.simulated import SimulatedLLM
 from repro.llm.skills import GPT_4O
@@ -46,7 +47,6 @@ from repro.serving import (
     BackendPool,
     ServingEngine,
     ServingJournal,
-    assemble_report,
     recover_run,
     zipf_workload,
 )
@@ -141,7 +141,7 @@ def _journal_certification(bird, tmp_dir):
     def report_from(path):
         pipeline = _pipeline(bird)
         outcomes = recover_run(ServingJournal(path), pipeline, load)
-        return assemble_report(outcomes, load, pipeline)
+        return assemble_report(outcomes, load, bird)
 
     full_report = report_from(full_path)
 

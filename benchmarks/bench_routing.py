@@ -30,13 +30,13 @@ from repro.core.config import PipelineConfig
 from repro.core.pipeline import OpenSearchSQL
 from repro.datasets.bird import mini_dev
 from repro.evaluation.report import format_table
-from repro.evaluation.runner import evaluate_pipeline
+from repro.evaluation.runner import assemble_report, evaluate_pipeline
 from repro.llm.simulated import SimulatedLLM
 from repro.llm.skills import GPT_4O
 from repro.observability.metrics import MetricsRegistry
 from repro.routing import RoutingConfig, TieredPipeline
 from repro.serving import ServingEngine, zipf_workload
-from repro.serving.journal import ServingJournal, assemble_report, recover_run
+from repro.serving.journal import ServingJournal, recover_run
 
 SMOKE = bool(int(os.environ.get("REPRO_ROUTING_SMOKE", "0")))
 #: serving-traffic difficulty mix (BIRD dev is roughly 62/24/14); the
@@ -122,7 +122,7 @@ def _compute(bird):
         journal = ServingJournal(full_path)
         journal.write_header({"bench": "routing", "seed": SEED})
         outcomes = recover_run(journal, _tiered_pipeline(bird), load)
-        uninterrupted = assemble_report(outcomes, load, tiered, name="routed")
+        uninterrupted = assemble_report(outcomes, load, bird, name="routed")
 
         # Simulate the kill: keep the header plus the first KILL_AFTER
         # committed records (and any accepted markers before them).
@@ -142,7 +142,7 @@ def _compute(bird):
         recovered = assemble_report(
             recover_run(recovered_journal, _tiered_pipeline(bird), load),
             load,
-            tiered,
+            bird,
             name="routed",
         )
         results["uninterrupted"] = _report_bytes(uninterrupted)

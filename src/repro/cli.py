@@ -35,7 +35,12 @@ from typing import Optional, Sequence
 from repro.baselines.systems import all_baselines
 from repro.datasets.bird import mini_dev
 from repro.evaluation.report import format_table
-from repro.evaluation.runner import evaluate_pipeline, evaluate_system
+from repro.evaluation.runner import (
+    ResumeRefusedError,
+    assemble_report,
+    evaluate_pipeline,
+    evaluate_system,
+)
 from repro.serving.spec import RunSpec, SpecError, build, resolve_benchmark
 
 __all__ = ["main", "build_parser"]
@@ -74,8 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--limit", type=int, default=0, metavar="N",
                     help="evaluate only the first N examples (0 = all)")
     ev.add_argument("--checkpoint", metavar="PATH",
-                    help="JSONL checkpoint file: finished examples are "
-                         "appended and replayed on resume")
+                    help="evaluation journal: each example is journaled "
+                         "as it is accepted and answered; rerunning with "
+                         "the same path replays answered examples and "
+                         "finishes the rest")
     ev.add_argument("--fault-rate", type=float, default=0.0, metavar="R",
                     help="inject transport/content faults at rate R "
                          "(chaos mode; default: 0 = off)")
@@ -405,12 +412,18 @@ def _cmd_evaluate(args, out) -> int:
         llm = injector if args.no_retry else ResilientLLM(injector, seed=args.seed)
         pipeline.rebind_llm(llm)
 
-    report = evaluate_pipeline(
-        pipeline, examples,
-        checkpoint_path=args.checkpoint,
-        workers=args.workers,
-        deadline_ms=args.deadline_ms or None,
-    )
+    from repro.serving import JournalCorruptionError, JournalVersionError
+
+    try:
+        report = evaluate_pipeline(
+            pipeline, examples,
+            checkpoint_path=args.checkpoint,
+            workers=args.workers,
+            deadline_ms=args.deadline_ms or None,
+        )
+    except (ResumeRefusedError, JournalCorruptionError, JournalVersionError) as exc:
+        out.write(f"error: {exc}\n")
+        return 2
     out.write(f"examples : {report.count}\n")
     if args.workers > 1:
         out.write(f"workers  : {args.workers}\n")
@@ -511,6 +524,12 @@ def _serve_bench_refusal(args) -> Optional[str]:
     if args.mutate_every > 0 and (args.shards > 0 or args.use_async):
         return ("--mutate-every serves serially on the in-process sync "
                 "engine; not supported with --shards or --async")
+    if args.mutate_every > 0 and args.report_out:
+        # the journal's answers were computed on mutated catalogs, and the
+        # catalog the report replays on starts at epoch 0: recover_run
+        # would refuse it only after every request was served
+        return ("--report-out cannot score a --mutate-every run: its "
+                "journal replays only on the catalogs it was served on")
     if args.shards > 0:
         unsupported = [
             ("--async", args.use_async),
@@ -676,22 +695,22 @@ def _cmd_serve_bench(args, out) -> int:
         out.write(f"metrics  : wrote snapshot to {args.metrics_out}\n")
     if args.report_out:
         # The journal is complete here, so recover_run replays it without
-        # re-running anything; scoring goes through a clean pipeline (no
-        # chaos wrappers) so the report reflects what was served.  A
-        # sharded run is scored through the merged view of its segments,
-        # on the same path, so the two reports are byte-comparable.
+        # re-running anything; a request the engine refused is finished
+        # on a clean pipeline (no chaos wrappers), and assemble_report
+        # scores on the benchmark's own executors.  A sharded run is
+        # scored through the merged view of its segments, on the same
+        # path, so the two reports are byte-comparable.
         if args.shards:
             journal = ShardedJournalView(args.journal)
-        clean = stack.clean_pipeline()
-        report = _finish(journal, stack, clean, clean)
+        report = _finish(journal, stack, stack.clean_pipeline())
         _write_deterministic_report(report, args.report_out)
         out.write(f"report   : wrote {args.report_out} (EX {report.ex:.1f})\n")
     return 0
 
 
-def _finish(journal, stack, pipeline, scoring, deadline_seconds=None):
-    """Finish the journaled run on ``pipeline`` and score it on ``scoring``."""
-    from repro.serving import assemble_report, recover_run
+def _finish(journal, stack, pipeline, deadline_seconds=None):
+    """Finish the journaled run on ``pipeline`` and score it."""
+    from repro.serving import recover_run
 
     outcomes = recover_run(
         journal,
@@ -700,7 +719,7 @@ def _finish(journal, stack, pipeline, scoring, deadline_seconds=None):
         result_cache_size=stack.spec.result_cache_size,
         deadline_seconds=deadline_seconds,
     )
-    return assemble_report(outcomes, stack.workload, scoring)
+    return assemble_report(outcomes, stack.workload, stack.benchmark)
 
 
 def _write_deterministic_report(report, path) -> None:
@@ -772,12 +791,10 @@ def _cmd_recover(args, out) -> int:
     pending_before = len(journal.pending())
     committed_before = len(journal)
     try:
-        # Recovery serves on the recorded stack, chaos included, and
-        # scores on a clean one: gold SQL must never draw an injected fault.
-        report = _finish(
-            journal, stack, pipeline, stack.clean_pipeline(),
-            spec.deadline_seconds,
-        )
+        # Recovery serves on the recorded stack, chaos included;
+        # assemble_report scores on the benchmark's own executors, so gold
+        # SQL never draws an injected fault.
+        report = _finish(journal, stack, pipeline, spec.deadline_seconds)
     except CrossEpochReplayError as exc:
         # Committed records carry schema_epoch stamps this catalog can't
         # honour (the run spanned live mutations; a rebuilt pipeline is

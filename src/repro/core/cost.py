@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.llm.base import TokenUsage
 
-__all__ = ["StageCost", "CostTracker"]
+__all__ = ["StageCost", "CostTracker", "encode_cost", "decode_cost"]
 
 
 @dataclass
@@ -112,3 +112,31 @@ class CostTracker:
             }
             for name, cost in sorted(self._stages.items())
         }
+
+
+def encode_cost(cost: CostTracker) -> dict:
+    """Lossless per-stage cost serialization (unlike ``summary()``)."""
+    return {
+        name: {
+            "wall_seconds": stage.wall_seconds,
+            "model_seconds": stage.model_seconds,
+            "prompt_tokens": stage.usage.prompt_tokens,
+            "completion_tokens": stage.usage.completion_tokens,
+            "calls": stage.calls,
+        }
+        for name, stage in cost.stages.items()
+    }
+
+
+def decode_cost(payload: dict) -> CostTracker:
+    """Inverse of :func:`encode_cost`."""
+    cost = CostTracker()
+    for name, fields in payload.items():
+        stage = cost.stage(name)
+        stage.wall_seconds = fields.get("wall_seconds", 0.0)
+        stage.model_seconds = fields.get("model_seconds", 0.0)
+        stage.usage = TokenUsage(
+            fields.get("prompt_tokens", 0), fields.get("completion_tokens", 0)
+        )
+        stage.calls = fields.get("calls", 0)
+    return cost

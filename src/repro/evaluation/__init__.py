@@ -10,12 +10,20 @@ from repro.evaluation.metrics import (
     ves,
 )
 from repro.evaluation.analysis import ErrorBreakdown, analyze_failures
-from repro.evaluation.runner import EvalReport, evaluate_pipeline, evaluate_system
+from repro.evaluation.runner import (
+    EvalReport,
+    ResumeRefusedError,
+    assemble_report,
+    evaluate_pipeline,
+    evaluate_system,
+)
 from repro.evaluation.report import format_table
 
 __all__ = [
     "EvalReport",
     "ExampleScore",
+    "ResumeRefusedError",
+    "assemble_report",
     "evaluate_pipeline",
     "evaluate_system",
     "execution_accuracy",

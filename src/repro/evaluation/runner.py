@@ -1,28 +1,36 @@
 """Workload runners: evaluate a pipeline (with EX_G/EX_R/EX traces) or any
-generic text-to-SQL system over a list of examples.
+generic text-to-SQL system over a list of examples, and the one scorer
+every pipeline report goes through.
 
-Both runners are production-hardened:
+An evaluation is a served run.  :func:`evaluate_pipeline` journals the
+examples into a :class:`~repro.serving.journal.ServingJournal` whose
+header marks it as an evaluation journal, answers them on a cache-less
+:class:`~repro.serving.engine.ServingEngine`, finishes the journal with
+:func:`~repro.serving.journal.recover_run` and scores the outcomes with
+:func:`assemble_report` — the path ``serve-bench --report-out`` and
+``repro recover`` take.  So:
 
-* **per-example error isolation** — an example that crashes the system
-  scores 0 and carries an ``error`` field instead of killing the run;
-* **checkpoint/resume** — pass ``checkpoint_path`` and every finished
-  example is appended to a JSONL checkpoint
-  (:class:`~repro.reliability.checkpoint.EvalCheckpoint`); re-running with
-  the same path replays finished examples from disk and continues with the
-  rest, producing the identical final :class:`EvalReport`;
-* **parallel mode** — ``evaluate_pipeline(..., workers=N)`` scores
-  examples on a thread pool.  Because the simulated model derives every
-  draw from per-call hashed seeds and gold execution goes through the
-  lock-protected shared :class:`~repro.caching.GoldResultCache`, a
-  parallel run produces the identical EX/EX_G/EX_R as a serial one.
+* **per-example error isolation** — an example that crashes the pipeline
+  is committed as ``failed`` and scores 0 with an ``error`` field
+  instead of killing the run;
+* **resume** — pass ``checkpoint_path`` and the journal lives there;
+  re-running with the same path replays committed examples and answers
+  the rest, exactly as ``repro recover`` finishes a killed serve-bench
+  run, producing the same :meth:`EvalReport.deterministic_dict`;
+* **parallel mode** — ``workers=N`` is the engine's pool size.  Because
+  the simulated model derives every draw from per-call hashed seeds, a
+  parallel run produces the identical EX/EX_G/EX_R as a serial one;
+* **one scorer** — :func:`assemble_report` executes gold and predicted
+  SQL on the benchmark's own executors, so no pipeline wrapper (chaos,
+  hedging, the epoch guard) ever reaches scoring.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Protocol, Union, runtime_checkable
+from typing import Callable, Optional, Protocol, Union, runtime_checkable
 
 from repro.caching import GoldResultCache
 from repro.core.cost import CostTracker
@@ -37,12 +45,23 @@ from repro.evaluation.metrics import (
     ves,
 )
 from repro.execution.executor import SQLExecutor
-from repro.observability.trace import Trace
-from repro.reliability.checkpoint import EvalCheckpoint
-from repro.reliability.deadline import Deadline
+from repro.reliability.faults import BudgetExceededError, CircuitOpenError
+from repro.serving.admission import AdmissionError
+from repro.serving.engine import ServingEngine
+from repro.serving.journal import ServingJournal, recover_run
 from repro.serving.latency import LatencySummary
 
-__all__ = ["EvalReport", "evaluate_pipeline", "evaluate_system", "TextToSQLSystem"]
+__all__ = [
+    "EvalReport",
+    "ResumeRefusedError",
+    "TextToSQLSystem",
+    "assemble_report",
+    "evaluate_pipeline",
+    "evaluate_system",
+]
+
+#: the header config that marks a journal as an evaluation journal
+_EVALUATION_HEADER = {"evaluation": True}
 
 
 @runtime_checkable
@@ -239,16 +258,66 @@ class EvalReport:
         target.write_text(json.dumps(self.to_dict(), indent=2))
 
 
-def _error_score(example: Example, error: str, gold_time: float = 0.0) -> ExampleScore:
+class ResumeRefusedError(ValueError):
+    """A ``checkpoint_path`` file this evaluation cannot resume."""
+
+
+def _error_score(example: Example, error: str) -> ExampleScore:
     """The zero score an isolated (crashed) example receives."""
     return ExampleScore(
         question_id=example.question_id,
         correct=False,
-        gold_time=gold_time,
+        gold_time=0.0,
         predicted_status="crashed",
         difficulty=example.difficulty,
         error=error,
     )
+
+
+def _executors(
+    benchmark: Benchmark, timeout_seconds: float = 5.0
+) -> Callable[[str], SQLExecutor]:
+    """The scorer's executor lookup: one unwrapped executor per database,
+    built on first use (5 s is ``PipelineConfig.execution_timeout``)."""
+    executors: dict[str, SQLExecutor] = {}
+
+    def executor(db_id: str) -> SQLExecutor:
+        if db_id not in executors:
+            executors[db_id] = benchmark.database(db_id).executor(timeout_seconds)
+        return executors[db_id]
+
+    return executor
+
+
+def _open_journal(path: Union[str, Path], examples: list[Example]) -> ServingJournal:
+    """Open (or resume) the evaluation journal at ``path``.
+
+    Refuses, before any example runs, a non-empty file without the
+    evaluation header (an older checkpoint format, a serve-bench journal)
+    and a file whose accepted records name other questions than
+    ``examples`` at the same positions.  Records past the end of
+    ``examples`` are ignored, so a longer run resumes a shorter one's
+    journal and a shorter run replays a prefix of a longer one's.
+    """
+    journal = ServingJournal(path)
+    if journal.config != _EVALUATION_HEADER:
+        if journal.config or (journal.path.exists() and journal.path.stat().st_size):
+            raise ResumeRefusedError(
+                f"{path} is not an evaluation journal (no evaluation header); "
+                f"refusing to resume from it"
+            )
+        journal.write_header(_EVALUATION_HEADER)
+    for seq in journal.accepted_seqs():
+        if seq >= len(examples):
+            break
+        recorded = journal.accepted(seq)["question_id"]
+        if recorded != examples[seq].question_id:
+            raise ResumeRefusedError(
+                f"{path} accepted question {recorded!r} at position {seq}, "
+                f"where this run has {examples[seq].question_id!r}; "
+                f"refusing to resume another workload's journal"
+            )
+    return journal
 
 
 def evaluate_pipeline(
@@ -264,125 +333,129 @@ def evaluate_pipeline(
     """Run an OpenSearch-SQL pipeline over ``examples``, scoring the three
     observables (EX_G, EX_R, EX) the paper's ablation tables report.
 
-    A crashed example never kills the run: it scores 0 with an ``error``
-    field.  With ``checkpoint_path`` every finished example is appended to
-    a JSONL checkpoint and already-checkpointed examples are replayed from
-    disk on resume.  ``workers > 1`` scores examples on a thread pool;
-    the report's scores stay in ``examples`` order and EX/EX_G/EX_R are
-    identical to a serial run (the pipeline's answer path is reentrant
-    and order-independent).  ``deadline_ms`` bounds each example with a
-    per-request :class:`~repro.reliability.deadline.Deadline` (virtual
+    Example ``i`` is request ``i`` of a served run: it is journaled to
+    ``checkpoint_path`` (a temporary file when None), answered on a
+    :class:`~repro.serving.engine.ServingEngine` with every cache tier
+    off and ``workers`` threads, and scored by :func:`assemble_report` in
+    ``examples`` order.  A crashed example never kills the run: it scores
+    0 with an ``error`` field.  Rerunning with the same
+    ``checkpoint_path`` replays committed examples and answers only the
+    rest; a file that is not this workload's evaluation journal raises
+    :class:`ResumeRefusedError`.  ``deadline_ms`` bounds each example with
+    a per-request :class:`~repro.reliability.deadline.Deadline` (virtual
     time); exhaustion degrades the answer — visible in the report's
     ``deadline_exceeded`` degradation counts — instead of crashing it.
     ``tracing=True`` records one :class:`~repro.observability.trace.Trace`
-    per freshly-answered example into ``report.traces`` (checkpoint
-    replays carry no trace).
+    per freshly answered example into ``report.traces`` (replayed
+    examples carry no trace).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if deadline_ms is not None and deadline_ms <= 0:
         raise ValueError("deadline_ms must be > 0")
-    report = EvalReport(system=name or f"opensearch-sql[{pipeline.llm.model_name}]")
-    checkpoint = EvalCheckpoint(checkpoint_path) if checkpoint_path else None
-    gold = gold_cache if gold_cache is not None else GoldResultCache()
-
-    def run_one(example: Example) -> tuple:
-        record = checkpoint.get(example.question_id) if checkpoint else None
-        if record is not None:
-            score, generation_score, refined_score, cost, degradations = (
-                EvalCheckpoint.decode(record)
-            )
-            return score, generation_score, refined_score, cost, degradations, None
-
-        degradation_events: list = []
-        trace = (
-            Trace(question_id=example.question_id, db_id=example.db_id)
-            if tracing
-            else None
+    deadline_seconds = deadline_ms / 1000.0 if deadline_ms is not None else None
+    with tempfile.TemporaryDirectory(prefix="repro-eval-") as scratch:
+        journal = _open_journal(
+            checkpoint_path or Path(scratch) / "journal.jsonl", examples
         )
-        try:
-            executor = pipeline.executor(example.db_id)
-            # keyword only when set: pipeline stand-ins (test doubles,
-            # wrappers) need not know about deadlines or traces
-            answer_kwargs: dict = {}
-            if deadline_ms is not None:
-                answer_kwargs["deadline"] = Deadline(deadline_ms / 1000.0)
-            if trace is not None:
-                answer_kwargs["trace"] = trace
-            result: PipelineResult = pipeline.answer(example, **answer_kwargs)
-            degradation_events = result.degradations
-            gold_outcome = gold.outcome(example, executor)
-            score = score_example(example, result.final_sql, executor, gold_outcome)
-            generation_score = score_example(
-                example, result.generation_sql, executor, gold_outcome
-            )
-            refined_score = score_example(
-                example, result.refined_sql, executor, gold_outcome
-            )
-            cost = result.cost
-            error = None
-        except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            score = _error_score(example, error)
-            generation_score = _error_score(example, error)
-            refined_score = _error_score(example, error)
-            cost = None
-            if trace is not None:
-                trace.root.status = "failed"
-                trace.root.event("request_failed", error=error)
-                trace.finish()
-
-        if checkpoint is not None:
-            checkpoint.record_example(
-                example.question_id,
-                score=score,
-                generation_score=generation_score,
-                refined_score=refined_score,
-                cost=cost,
-                degradations=list(degradation_events),
-                error=error,
-            )
-        return score, generation_score, refined_score, cost, degradation_events, trace
-
-    if workers == 1:
-        outcomes = [run_one(example) for example in examples]
-    else:
-        # pool.map preserves input order, so the report is example-ordered
-        # regardless of completion order; checkpoint appends happen inside
-        # run_one under the checkpoint's own lock.
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="eval"
-        ) as pool:
-            outcomes = list(pool.map(run_one, examples))
-    if checkpoint is not None:
-        checkpoint.close()  # fsync the final partial batch
-
-    for example, outcome in zip(examples, outcomes):
-        score, generation_score, refined_score, cost, degradations, trace = outcome
-        _append(report, example, score, generation_score, refined_score)
-        report.latencies.append(cost.total_model_seconds if cost is not None else 0.0)
-        if cost is not None:
-            report.cost.merge(cost)
+        with ServingEngine(
+            pipeline,
+            workers=workers,
+            result_cache_size=0,
+            extraction_cache_size=0,
+            fewshot_cache_size=0,
+            deadline_seconds=deadline_seconds,
+            tracing=tracing,
+            journal=journal,
+        ) as engine:
+            for seq, example in enumerate(examples):
+                if journal.committed(seq) is None:
+                    try:
+                        engine.submit(example, block=True, seq=seq)
+                    except (AdmissionError, BudgetExceededError, CircuitOpenError):
+                        pass  # refused (e.g. the breaker is open): finished below
+        # Leaving the engine drained its pool; recover_run replays every
+        # commit and answers what the engine refused, as `repro recover`
+        # finishes a killed run.
+        outcomes = recover_run(
+            journal, pipeline, examples,
+            result_cache_size=0, deadline_seconds=deadline_seconds,
+        )
+    report = assemble_report(
+        outcomes, examples, pipeline.benchmark,
+        name=name or f"opensearch-sql[{pipeline.llm.model_name}]",
+        gold_cache=gold_cache,
+    )
+    for example in examples:
+        trace = engine.trace_for(example.question_id)
         if trace is not None:
             report.traces[example.question_id] = trace
-        for event in degradations:
-            report.degradations.append(
-                {"question_id": example.question_id, **event.to_dict()}
-            )
     return report
 
 
-def _append(
-    report: EvalReport,
-    example: Example,
-    score: Optional[ExampleScore],
-    generation_score: Optional[ExampleScore],
-    refined_score: Optional[ExampleScore],
-) -> None:
-    fallback = _error_score(example, "missing checkpoint score")
-    report.scores.append(score or fallback)
-    report.generation_scores.append(generation_score or fallback)
-    report.refined_scores.append(refined_score or fallback)
+def assemble_report(
+    outcomes: list[tuple[str, Optional[PipelineResult], CostTracker, Optional[str]]],
+    workload: list[Example],
+    benchmark: Benchmark,
+    name: str = "journaled",
+    gold_cache: Optional[GoldResultCache] = None,
+) -> EvalReport:
+    """Score :func:`~repro.serving.journal.recover_run` outcomes into an
+    :class:`EvalReport`.
+
+    Every pipeline report is built here: evaluations, ``serve-bench
+    --report-out`` and ``repro recover`` (an uninterrupted run's complete
+    journal replays without re-running anything), so a crash-recovery
+    certification compares two documents produced by identical code.
+    Gold and predicted SQL run on ``benchmark``'s own executors, never a
+    pipeline's, so chaos, hedging and the epoch guard cannot touch a
+    score.  Cached outcomes contribute zero cost — in the original run
+    they did no model work, and the journal committed them as such.
+    """
+    report = EvalReport(system=name)
+    gold = gold_cache if gold_cache is not None else GoldResultCache()
+    executor_for = _executors(benchmark)
+    tier_mix: dict[str, int] = {}
+    escalation_mix: dict[str, int] = {}
+    for example, (status, result, cost, error) in zip(workload, outcomes):
+        routing = getattr(result, "routing", None)
+        if routing is not None:
+            tier_mix[routing.final_tier] = tier_mix.get(routing.final_tier, 0) + 1
+            for event in routing.escalations:
+                escalation_mix[event.reason] = (
+                    escalation_mix.get(event.reason, 0) + 1
+                )
+        if status == "failed" or result is None:
+            score = _error_score(example, error or "request failed")
+            report.scores.append(score)
+            report.generation_scores.append(score)
+            report.refined_scores.append(score)
+            report.latencies.append(0.0)
+            continue
+        executor = executor_for(example.db_id)
+        gold_outcome = gold.outcome(example, executor)
+        report.scores.append(
+            score_example(example, result.final_sql, executor, gold_outcome)
+        )
+        report.generation_scores.append(
+            score_example(example, result.generation_sql, executor, gold_outcome)
+        )
+        report.refined_scores.append(
+            score_example(example, result.refined_sql, executor, gold_outcome)
+        )
+        report.latencies.append(cost.total_model_seconds)
+        report.cost.merge(cost)
+        for event in result.degradations:
+            report.degradations.append(
+                {"question_id": example.question_id, **event.to_dict()}
+            )
+    if tier_mix:
+        # Routed runs annotate the report; the annotation replays from
+        # journal records, so kill/recover keeps it byte-identical.
+        report.meta["tier_mix"] = dict(sorted(tier_mix.items()))
+        if escalation_mix:
+            report.meta["escalations"] = dict(sorted(escalation_mix.items()))
+    return report
 
 
 def evaluate_system(
@@ -390,50 +463,26 @@ def evaluate_system(
     benchmark: Benchmark,
     examples: list[Example],
     timeout_seconds: float = 5.0,
-    checkpoint_path: Optional[Union[str, Path]] = None,
     gold_cache: Optional[GoldResultCache] = None,
 ) -> EvalReport:
     """Evaluate any text-to-SQL system (baseline or pipeline wrapper).
 
     Gold outcomes go through the same shared, lock-protected
-    :class:`~repro.caching.GoldResultCache` as :func:`evaluate_pipeline`
-    (pass one in to share it across runs), crashed examples are isolated,
-    and ``checkpoint_path`` enables JSONL checkpoint/resume.
+    :class:`~repro.caching.GoldResultCache` as :func:`assemble_report`
+    (pass one in to share it across runs), SQL runs on the benchmark's
+    own executors, and crashed examples are isolated.
     """
     report = EvalReport(system=system.name)
-    checkpoint = EvalCheckpoint(checkpoint_path) if checkpoint_path else None
-    executors: dict[str, SQLExecutor] = {}
+    executor_for = _executors(benchmark, timeout_seconds)
     gold = gold_cache if gold_cache is not None else GoldResultCache()
     for example in examples:
-        record = checkpoint.get(example.question_id) if checkpoint else None
-        if record is not None:
-            score, _generation, _refined, _cost, _degradations = (
-                EvalCheckpoint.decode(record)
-            )
-            report.scores.append(
-                score or _error_score(example, "missing checkpoint score")
-            )
-            continue
-
         try:
-            if example.db_id not in executors:
-                executors[example.db_id] = SQLExecutor(
-                    benchmark.database(example.db_id).connection,
-                    timeout_seconds=timeout_seconds,
-                )
-            executor = executors[example.db_id]
+            executor = executor_for(example.db_id)
             gold_outcome = gold.outcome(example, executor)
             answer = system.answer(example)
             sql = answer if isinstance(answer, str) else getattr(answer, "final_sql", "")
             score = score_example(example, sql, executor, gold_outcome)
-            error = None
         except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            score = _error_score(example, error)
-
+            score = _error_score(example, f"{type(exc).__name__}: {exc}")
         report.scores.append(score)
-        if checkpoint is not None:
-            checkpoint.record_example(example.question_id, score=score, error=error)
-    if checkpoint is not None:
-        checkpoint.close()  # fsync the final partial batch
     return report

@@ -1,5 +1,5 @@
 """Reliability layer: fault injection, resilient transport, graceful
-degradation and checkpointed evaluation.
+degradation and per-request deadlines.
 
 The paper suppresses *model* failure modes; this package suppresses
 *infrastructure* failure modes — the rate limits, timeouts and garbled
@@ -16,12 +16,10 @@ completions that a deployed Text-to-SQL service meets at scale:
 * :class:`Deadline` — the per-request time budget (real wall + recorded
   virtual seconds) threaded from the serving engine through every pipeline
   stage and SQL execution;
-* :class:`EvalCheckpoint` — JSONL checkpoint/resume for evaluation runs;
 * :class:`ReliabilityStats` — the accounting all of the above report into.
 """
 
 from repro.reliability.breaker import BreakerState, CircuitBreaker
-from repro.reliability.checkpoint import EvalCheckpoint
 from repro.reliability.deadline import Deadline, DeadlineExceededError
 from repro.reliability.degradation import DegradationEvent, DegradationKind
 from repro.reliability.faults import (
@@ -46,7 +44,6 @@ __all__ = [
     "DeadlineExceededError",
     "DegradationEvent",
     "DegradationKind",
-    "EvalCheckpoint",
     "FaultInjectingLLM",
     "FaultKind",
     "FaultPlan",

@@ -100,7 +100,6 @@ from repro.serving.journal import (
     JournalCorruptionError,
     JournalVersionError,
     ServingJournal,
-    assemble_report,
     recover_run,
 )
 from repro.serving.health import HealthMonitor
@@ -149,7 +148,6 @@ __all__ = [
     "ShardCoordinator",
     "ShardUnavailableError",
     "ShardedJournalView",
-    "assemble_report",
     "discover_segments",
     "normalize_question",
     "percentile",

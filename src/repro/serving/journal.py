@@ -1,7 +1,8 @@
 """Durable write-ahead journal for the serving path.
 
 A serving process can die at any instruction — OOM-killed, SIGKILLed by an
-orchestrator, power loss.  The journal makes a serve-bench run *crash
+orchestrator, power loss.  The journal makes a serve-bench run — and an
+evaluation, which is served and journaled the same way — *crash
 recoverable*: the engine appends one JSONL record when a request is
 **accepted** (before any work) and one when its result is **committed**
 (after the pipeline answered), so after a crash :func:`recover_run` can
@@ -83,10 +84,9 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from repro.caching import LRUCache, result_cache_key
-from repro.core.cost import CostTracker
+from repro.core.cost import CostTracker, decode_cost, encode_cost
 from repro.core.pipeline import OpenSearchSQL, PipelineResult
 from repro.datasets.types import Example
-from repro.reliability.checkpoint import decode_cost, encode_cost
 from repro.reliability.deadline import Deadline
 from repro.reliability.degradation import DegradationEvent
 from repro.storage.format import (
@@ -100,7 +100,6 @@ __all__ = [
     "JOURNAL_VERSION",
     "ServingJournal",
     "recover_run",
-    "assemble_report",
     "epoch_stamps",
     "check_epoch_stamps",
     "JournalCorruptionError",
@@ -318,6 +317,11 @@ class ServingJournal:
     def __len__(self) -> int:
         return len(self._committed)
 
+    def accepted(self, seq: int) -> Optional[dict]:
+        """The accepted record for one seq, or None."""
+        with self._lock:
+            return self._accepted.get(seq)
+
     def committed(self, seq: int) -> Optional[dict]:
         """The committed record for one seq, or None."""
         with self._lock:
@@ -433,7 +437,8 @@ def recover_run(
     deterministic pipeline and committed, making recovery idempotent.
 
     Returns one ``(status, result, cost, error)`` tuple per workload
-    position — the deterministic inputs a report builder needs.  Crashed
+    position — the deterministic inputs
+    :func:`~repro.evaluation.runner.assemble_report` scores.  Crashed
     requests (committed ``"failed"`` or a fresh raise) carry ``None``
     results, mirroring ``ServingEngine.run``.
 
@@ -500,69 +505,3 @@ def recover_run(
         outcomes.append(("ok", result, result.cost, None))
     return outcomes
 
-
-def assemble_report(
-    outcomes: list[tuple[str, Optional[PipelineResult], CostTracker, Optional[str]]],
-    workload: list[Example],
-    pipeline: OpenSearchSQL,
-    name: str = "journaled",
-    gold_cache=None,
-):
-    """Score :func:`recover_run` outcomes into an ``EvalReport``.
-
-    Both the uninterrupted and the recovered serve-bench paths build their
-    report through this one function (the uninterrupted run's complete
-    journal replays without re-running anything), so a crash-recovery
-    certification compares two documents produced by identical code.
-    Cached outcomes contribute zero cost — in the original run they did no
-    model work, and the journal committed them as such.
-    """
-    # Function-local imports: repro.serving must stay importable without
-    # pulling the evaluation package in (which imports serving.latency).
-    from repro.caching import GoldResultCache
-    from repro.evaluation.metrics import score_example
-    from repro.evaluation.runner import EvalReport, _error_score
-
-    report = EvalReport(system=name)
-    gold = gold_cache if gold_cache is not None else GoldResultCache()
-    tier_mix: dict[str, int] = {}
-    escalation_mix: dict[str, int] = {}
-    for example, (status, result, cost, error) in zip(workload, outcomes):
-        routing = getattr(result, "routing", None)
-        if routing is not None:
-            tier_mix[routing.final_tier] = tier_mix.get(routing.final_tier, 0) + 1
-            for event in routing.escalations:
-                escalation_mix[event.reason] = (
-                    escalation_mix.get(event.reason, 0) + 1
-                )
-        if status == "failed" or result is None:
-            score = _error_score(example, error or "request failed")
-            report.scores.append(score)
-            report.generation_scores.append(score)
-            report.refined_scores.append(score)
-            report.latencies.append(0.0)
-            continue
-        executor = pipeline.executor(example.db_id)
-        gold_outcome = gold.outcome(example, executor)
-        report.scores.append(
-            score_example(example, result.final_sql, executor, gold_outcome)
-        )
-        report.generation_scores.append(
-            score_example(example, result.generation_sql, executor, gold_outcome)
-        )
-        report.refined_scores.append(
-            score_example(example, result.refined_sql, executor, gold_outcome)
-        )
-        report.latencies.append(cost.total_model_seconds)
-        report.cost.merge(cost)
-        for event in result.degradations:
-            report.degradations.append(
-                {"question_id": example.question_id, **event.to_dict()}
-            )
-    if tier_mix:
-        # Routed runs annotate the report; the annotation replays from
-        # journal records, so kill/recover keeps it byte-identical.
-        report.meta["tier_mix"] = dict(sorted(tier_mix.items()))
-        if escalation_mix:
-            report.meta["escalations"] = dict(sorted(escalation_mix.items()))
-    return report

@@ -205,7 +205,8 @@ class Stack:
 
     def clean_pipeline(self):
         """A fresh pipeline of this spec with no chaos, backends or engine
-        wrappers: what reports score gold and predicted SQL through."""
+        wrappers: what ``serve-bench --report-out`` finishes refused
+        requests on."""
         return self._route(self.spec.base_pipeline(self.benchmark))
 
     @cached_property

@@ -4,11 +4,11 @@ Submodules:
 
 * :mod:`repro.storage.format` — the CRC-framed journal v2 record
   grammar, the damage-classifying :func:`scan_file` reader, and
-  :class:`AppendLog`, the one writer under the serving journal, the
-  evaluation checkpoint and the reindex checkpoint.
+  :class:`AppendLog`, the one writer under the serving journal (which
+  evaluations journal to as well) and the reindex checkpoint.
 * :mod:`repro.storage.faults` — :class:`FaultyStorage`, the seeded
   filesystem chaos harness.  It plugs into :class:`AppendLog`'s
-  ``opener`` seam, so all three logs accept it.
+  ``opener`` seam, so both logs accept it.
 * :mod:`repro.storage.fsck` — offline validation/repair behind
   ``repro fsck --journal``.
 * :mod:`repro.storage.crashfuzz` — the power-cut recovery fuzzer and

@@ -210,13 +210,10 @@ def build_campaign(config, shards: int = 1):
 
 def _write_reference(config, cluster, pipeline, workload, ref_dir: Path):
     """Serve the workload into recorded segments; return (recording, doc)."""
+    from repro.evaluation.runner import assemble_report
     from repro.serving.cluster.config import segment_name
     from repro.serving.cluster.recovery import ShardedJournalView
-    from repro.serving.journal import (
-        ServingJournal,
-        assemble_report,
-        recover_run,
-    )
+    from repro.serving.journal import ServingJournal, recover_run
 
     ref_dir.mkdir(parents=True, exist_ok=True)
     recording = RecordingOpener()
@@ -225,7 +222,9 @@ def _write_reference(config, cluster, pipeline, workload, ref_dir: Path):
         journal.write_header(cluster.header_config(shard))
     view = ShardedJournalView(ref_dir, opener=recording)
     outcomes = recover_run(view, pipeline, workload)
-    report = assemble_report(outcomes, workload, pipeline, name="crashfuzz")
+    report = assemble_report(
+        outcomes, workload, pipeline.benchmark, name="crashfuzz"
+    )
     doc = json.dumps(report.deterministic_dict(), sort_keys=True)
     return recording, doc
 
@@ -240,13 +239,16 @@ def _materialize(cut_dir: Path, lengths: dict[str, int], data: dict) -> Path:
 
 def _recover(cut_dir: Path, pipeline, workload, ref_doc: str):
     """(outcome, detail) for one materialized cut directory."""
+    from repro.evaluation.runner import assemble_report
     from repro.serving.cluster.recovery import DoubleServeError, ShardedJournalView
-    from repro.serving.journal import assemble_report, recover_run
+    from repro.serving.journal import recover_run
 
     try:
         view = ShardedJournalView(cut_dir)
         outcomes = recover_run(view, pipeline, workload)
-        report = assemble_report(outcomes, workload, pipeline, name="crashfuzz")
+        report = assemble_report(
+            outcomes, workload, pipeline.benchmark, name="crashfuzz"
+        )
         doc = json.dumps(report.deterministic_dict(), sort_keys=True)
     except FileNotFoundError:
         return "empty-journal", "no-segments"

@@ -34,9 +34,9 @@ written before this format change still loads byte-for-byte.
 :func:`scan_file` is the one reader: it never raises on damage, it
 *classifies* it (:class:`LineIssue`, tail vs interior).
 :class:`AppendLog` is the one writer, and it applies the load rule on
-top of the scan.  The serving journal, the evaluation checkpoint and the
-reindex checkpoint each hold one; ``repro fsck`` reads through
-:func:`scan_file` directly.
+top of the scan.  The serving journal (which evaluations journal to as
+well) and the reindex checkpoint each hold one; ``repro fsck`` reads
+through :func:`scan_file` directly.
 """
 
 from __future__ import annotations

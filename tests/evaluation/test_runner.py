@@ -3,6 +3,12 @@
 import pytest
 
 from repro.caching import GoldResultCache
+from repro.core.config import PipelineConfig
+from repro.core.pipeline import OpenSearchSQL
+from repro.execution.chaos import DbFaultPlan, FaultInjectingExecutor
+from repro.llm.simulated import SimulatedLLM
+from repro.llm.skills import GPT_4O
+from repro.reliability.stats import ReliabilityStats
 from repro.evaluation.report import format_table
 from repro.evaluation.runner import evaluate_pipeline, evaluate_system
 
@@ -83,6 +89,33 @@ class TestParallelEvaluation:
         )
         assert len(gold) == 4
         assert gold.stats.hits >= 4
+
+
+class TestScorerIsolation:
+    def test_db_chaos_never_reaches_the_scorer(self, tiny_benchmark):
+        """Gold SQL runs on the benchmark's own executors: a fault the
+        pipeline's chaos wrapper draws can fail a prediction's execution
+        but never the gold query that scores it."""
+        pipeline = OpenSearchSQL(
+            tiny_benchmark, SimulatedLLM(GPT_4O, seed=0),
+            PipelineConfig(n_candidates=3),
+        )
+        faults = ReliabilityStats()
+        plan = DbFaultPlan(locked=0.3, slow_query=0.3)
+        pipeline.set_executor_wrapper(
+            lambda executor, db_id: FaultInjectingExecutor(
+                executor, plan, seed=11, stats=faults
+            )
+        )
+        report = evaluate_pipeline(pipeline, tiny_benchmark.dev)
+        assert faults.failures > 0, "chaos plan injected nothing"
+        assert report.count == len(tiny_benchmark.dev)
+        gold_failures = [
+            score.question_id
+            for score in report.scores
+            if (score.error or "").startswith("ValueError: gold SQL failed")
+        ]
+        assert gold_failures == []
 
 
 class TestReportLatency:

@@ -1,25 +1,23 @@
-"""Checkpoint/resume: JSONL round-trips, torn-write tolerance, per-example
-error isolation, and the kill-and-resume == uninterrupted-run guarantee."""
+"""Evaluation resume on the journal path: the evaluation journal's file
+behaviour, per-example error isolation, resume refusals, and the
+kill-and-resume == uninterrupted-run guarantee at every power cut."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 
 import pytest
 
-from repro.core.cost import CostTracker
-from repro.evaluation.metrics import ExampleScore
-from repro.evaluation.runner import evaluate_pipeline, evaluate_system
-from repro.llm.base import TokenUsage
-from repro.reliability.checkpoint import (
-    EvalCheckpoint,
-    decode_cost,
-    decode_score,
-    encode_cost,
-    encode_score,
+from repro.core.cost import CostTracker, decode_cost, encode_cost
+from repro.evaluation.runner import (
+    ResumeRefusedError,
+    evaluate_pipeline,
+    evaluate_system,
 )
-from repro.reliability.degradation import DegradationEvent, DegradationKind
+from repro.llm.base import TokenUsage
+from repro.serving import JournalCorruptionError, ServingJournal
+from repro.serving.spec import RunSpec
+from repro.storage.format import encode_record
 
 
 class PipelineProxy:
@@ -32,9 +30,9 @@ class PipelineProxy:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def answer(self, example):
+    def answer(self, example, **kwargs):
         self.answered.append(example.question_id)
-        return self._inner.answer(example)
+        return self._inner.answer(example, **kwargs)
 
 
 class CrashingPipeline(PipelineProxy):
@@ -42,39 +40,37 @@ class CrashingPipeline(PipelineProxy):
         super().__init__(inner)
         self.crash_ids = set(crash_ids)
 
-    def answer(self, example):
+    def answer(self, example, **kwargs):
         if example.question_id in self.crash_ids:
             raise RuntimeError("simulated pipeline crash")
-        return super().answer(example)
+        return super().answer(example, **kwargs)
 
 
 def score_rows(report):
     return [(s.question_id, s.correct, s.predicted_status) for s in report.scores]
 
 
-class TestEncoding:
-    def test_score_round_trip(self):
-        score = ExampleScore(
-            question_id="q1",
-            correct=True,
-            gold_time=0.01,
-            predicted_time=0.02,
-            predicted_status="ok",
-            difficulty="simple",
-        )
-        assert decode_score(encode_score(score)) == score
-        assert encode_score(None) is None and decode_score(None) is None
+def document(report):
+    return json.dumps(report.deterministic_dict(), sort_keys=True)
 
-    def test_error_field_survives(self):
-        score = ExampleScore(
-            question_id="q2",
-            correct=False,
-            gold_time=0.0,
-            predicted_status="crashed",
-            difficulty="simple",
-            error="RuntimeError: boom",
-        )
-        assert decode_score(encode_score(score)).error == "RuntimeError: boom"
+
+def committed_records(path):
+    return [
+        json.loads(line)
+        for line in path.read_text().splitlines()
+        if line.strip() and json.loads(line).get("type") == "committed"
+    ]
+
+
+class TestEncoding:
+    def test_error_field_survives(self, rel_pipeline, tiny_benchmark, tmp_path):
+        examples = tiny_benchmark.dev[:2]
+        path = tmp_path / "run.jsonl"
+        crashing = CrashingPipeline(rel_pipeline, [examples[0].question_id])
+        first = evaluate_pipeline(crashing, examples, checkpoint_path=path)
+        resumed = evaluate_pipeline(rel_pipeline, examples, checkpoint_path=path)
+        assert resumed.scores[0].error == first.scores[0].error
+        assert resumed.scores[0].error == "RuntimeError: simulated pipeline crash"
 
     def test_cost_round_trip_is_lossless(self):
         cost = CostTracker()
@@ -92,135 +88,177 @@ class TestEncoding:
 
 
 class TestCheckpointFile:
-    def test_record_and_reload(self, tmp_path):
+    def test_record_and_reload(self, rel_pipeline, tiny_benchmark, tmp_path,
+                               monkeypatch):
+        example = tiny_benchmark.dev[0]
         path = tmp_path / "run.jsonl"
-        checkpoint = EvalCheckpoint(path)
-        score = ExampleScore(
-            question_id="q1", correct=True, gold_time=0.1, difficulty="simple"
-        )
-        checkpoint.record_example(
-            "q1",
-            score=score,
-            degradations=[
-                DegradationEvent(
-                    kind=DegradationKind.REFINEMENT_SKIPPED, stage="refinement"
-                )
-            ],
-        )
-        reloaded = EvalCheckpoint(path)
-        assert len(reloaded) == 1 and "q1" in reloaded
-        decoded, _, _, _, degradations = EvalCheckpoint.decode(reloaded.get("q1"))
-        assert decoded == score
-        assert degradations[0].kind is DegradationKind.REFINEMENT_SKIPPED
 
-    def test_creates_parent_directories(self, tmp_path):
+        def explode(*args, **kwargs):
+            raise RuntimeError("refiner down")
+
+        monkeypatch.setattr(rel_pipeline.refiner, "run", explode)
+        report = evaluate_pipeline(rel_pipeline, [example], checkpoint_path=path)
+        monkeypatch.undo()
+        reloaded = ServingJournal(path)
+        assert reloaded.config == {"evaluation": True}
+        assert len(reloaded) == 1
+        result, cost = ServingJournal.decode_result(reloaded.committed(0))
+        assert result.question_id == example.question_id
+        assert [e.kind.value for e in result.degradations] == ["refinement_skipped"]
+        assert cost.total_tokens == report.cost.total_tokens
+
+    def test_creates_parent_directories(self, rel_pipeline, tiny_benchmark,
+                                        tmp_path):
         path = tmp_path / "deep" / "nested" / "run.jsonl"
-        EvalCheckpoint(path).record_example("q1")
+        evaluate_pipeline(rel_pipeline, tiny_benchmark.dev[:1], checkpoint_path=path)
         assert path.exists()
 
-    def test_torn_tail_line_skipped(self, tmp_path):
+    def test_torn_tail_line_skipped(self, rel_pipeline, tiny_benchmark, tmp_path):
+        examples = tiny_benchmark.dev[:3]
         path = tmp_path / "run.jsonl"
-        checkpoint = EvalCheckpoint(path)
-        checkpoint.record_example("q1")
-        checkpoint.record_example("q2")
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write('{"question_id": "q3", "sco')  # killed mid-write
-        reloaded = EvalCheckpoint(path)
-        assert len(reloaded) == 2
-        assert "q3" not in reloaded
-        # the resumed run appends after the tear: the load truncated it,
-        # so the next record is not glued onto the torn bytes and lost
-        reloaded.record_example("q3")
-        reloaded.record_example("q4")
-        again = EvalCheckpoint(path)
-        assert len(again) == 4
-        assert "q3" in again and "q4" in again
+        reference = evaluate_pipeline(rel_pipeline, examples, checkpoint_path=path)
+        # a kill mid-write leaves the last commit half written
+        lines = path.read_text().splitlines()
+        last_commit = max(
+            i for i, line in enumerate(lines)
+            if json.loads(line)["type"] == "committed"
+        )
+        torn = lines[last_commit][: len(lines[last_commit]) // 2]
+        path.write_text("\n".join(lines[:last_commit] + [torn]))
+        proxy = PipelineProxy(rel_pipeline)
+        resumed = evaluate_pipeline(proxy, examples, checkpoint_path=path)
+        # the load truncated the tear, so only that example ran again and
+        # its commit is not glued onto the torn bytes and lost
+        assert proxy.answered == [examples[2].question_id]
+        assert document(resumed) == document(reference)
+        assert sorted(r["seq"] for r in committed_records(path)) == [0, 1, 2]
 
-    def test_blank_lines_tolerated(self, tmp_path):
+    def test_blank_lines_tolerated(self, rel_pipeline, tiny_benchmark, tmp_path):
+        examples = tiny_benchmark.dev[:2]
         path = tmp_path / "run.jsonl"
-        EvalCheckpoint(path).record_example("q1")
+        reference = evaluate_pipeline(rel_pipeline, examples, checkpoint_path=path)
         with path.open("a", encoding="utf-8") as handle:
             handle.write("\n\n")
-        assert len(EvalCheckpoint(path)) == 1
+        proxy = PipelineProxy(rel_pipeline)
+        resumed = evaluate_pipeline(proxy, examples, checkpoint_path=path)
+        assert proxy.answered == []
+        assert document(resumed) == document(reference)
 
-    def test_latest_record_wins(self, tmp_path):
+    def test_latest_record_wins(self, rel_pipeline, tiny_benchmark, tmp_path):
+        examples = tiny_benchmark.dev[:2]
         path = tmp_path / "run.jsonl"
-        checkpoint = EvalCheckpoint(path)
-        checkpoint.record_example("q1", error="RuntimeError: first try")
-        checkpoint.record_example("q1", error=None)
-        assert EvalCheckpoint(path).get("q1")["error"] is None
+        evaluate_pipeline(rel_pipeline, examples, checkpoint_path=path)
+        ServingJournal(path).commit(0, "failed", error="RuntimeError: second try")
+        resumed = evaluate_pipeline(rel_pipeline, examples, checkpoint_path=path)
+        assert resumed.scores[0].error == "RuntimeError: second try"
+        assert resumed.scores[1].error is None
 
-    def test_lines_are_valid_json_records(self, tmp_path):
+    def test_lines_are_valid_json_records(self, rel_pipeline, tiny_benchmark,
+                                          tmp_path):
         path = tmp_path / "run.jsonl"
-        EvalCheckpoint(path).record_example("q1")
-        record = json.loads(path.read_text().splitlines()[0])
-        assert record["question_id"] == "q1"
-        assert "version" in record
+        example = tiny_benchmark.dev[0]
+        evaluate_pipeline(rel_pipeline, [example], checkpoint_path=path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["type"] for r in records] == [
+            "header", "accepted", "committed", "seal",
+        ]
+        assert records[0]["config"] == {"evaluation": True}
+        assert records[1]["question_id"] == example.question_id
+        assert all("crc" in record for record in records)
 
-    def test_torn_line_in_the_middle_skipped(self, tmp_path):
-        # a torn write is usually the tail, but a crash during a buffered
-        # multi-line flush can leave the damage mid-file: every intact
-        # record around it must survive the reload
+    def test_torn_line_in_the_middle_is_refused(self, rel_pipeline,
+                                                tiny_benchmark, tmp_path):
+        # damage with intact records after it is not a kill's torn tail:
+        # the evaluation journal refuses it with the fsck hint instead of
+        # silently re-running (or losing) the damaged example
         path = tmp_path / "run.jsonl"
-        checkpoint = EvalCheckpoint(path)
-        for question_id in ("q1", "q2", "q3"):
-            checkpoint.record_example(question_id)
+        evaluate_pipeline(rel_pipeline, tiny_benchmark.dev[:3], checkpoint_path=path)
         lines = path.read_text().splitlines()
-        lines[1] = lines[1][: len(lines[1]) // 2]
+        lines[2] = lines[2][: len(lines[2]) // 2]
         path.write_text("\n".join(lines) + "\n")
-        reloaded = EvalCheckpoint(path)
-        assert len(reloaded) == 2
-        assert "q1" in reloaded and "q3" in reloaded
-        assert "q2" not in reloaded
+        proxy = PipelineProxy(rel_pipeline)
+        with pytest.raises(JournalCorruptionError, match="fsck"):
+            evaluate_pipeline(proxy, tiny_benchmark.dev[:3], checkpoint_path=path)
+        assert proxy.answered == []
 
-    def test_altered_line_fails_its_crc_and_is_skipped(self, tmp_path):
+    def test_altered_line_fails_its_crc_and_is_refused(
+        self, rel_pipeline, tiny_benchmark, tmp_path
+    ):
         # a line that still parses but no longer holds the bytes that were
-        # written must not replay a wrong cost: it fails its CRC, is
-        # skipped like any damaged line, and its example re-runs
+        # written must not replay a wrong cost
         path = tmp_path / "run.jsonl"
-        checkpoint = EvalCheckpoint(path)
-        cost = CostTracker()
-        cost.stage("generation").calls = 3
-        for question_id in ("q1", "q2", "q3"):
-            checkpoint.record_example(question_id, cost=cost)
+        evaluate_pipeline(rel_pipeline, tiny_benchmark.dev[:3], checkpoint_path=path)
         lines = path.read_text().splitlines()
-        assert '"calls": 3' in lines[1]
-        lines[1] = lines[1].replace('"calls": 3', '"calls": 7')
+        index = next(
+            i for i, line in enumerate(lines)
+            if json.loads(line)["type"] == "committed"
+        )
+        altered = json.loads(lines[index])
+        altered["cost"]["generation"]["calls"] += 4
+        lines[index] = json.dumps(altered, sort_keys=True)
         path.write_text("\n".join(lines) + "\n")
-        reloaded = EvalCheckpoint(path)
-        assert "q2" not in reloaded
-        assert "q1" in reloaded and "q3" in reloaded
-        _, _, _, replayed, _ = EvalCheckpoint.decode(reloaded.get("q1"))
-        assert replayed.stage("generation").calls == 3
+        with pytest.raises(JournalCorruptionError, match="crc-mismatch"):
+            evaluate_pipeline(
+                rel_pipeline, tiny_benchmark.dev[:3], checkpoint_path=path
+            )
 
-    def test_bare_unframed_lines_still_load(self, tmp_path):
-        # checkpoints written before the CRC frame hold bare JSON lines
+
+class TestResumeRefusals:
+    def test_parent_format_checkpoint_is_refused(self, rel_pipeline,
+                                                 tiny_benchmark, tmp_path):
+        # the older checkpoint format: one framed record per example, no
+        # header and no record type
         path = tmp_path / "run.jsonl"
-        bare = {
-            "version": 1, "score": None, "generation_score": None,
-            "refined_score": None, "cost": None, "degradations": [],
-            "error": None,
-        }
+        examples = tiny_benchmark.dev[:2]
         path.write_text("".join(
-            json.dumps({**bare, "question_id": qid}) + "\n"
-            for qid in ("q1", "q2")
+            encode_record({
+                "version": 1, "question_id": example.question_id,
+                "score": None, "generation_score": None,
+                "refined_score": None, "cost": None, "degradations": [],
+                "error": None,
+            }, rec) + "\n"
+            for rec, example in enumerate(examples)
         ))
-        reloaded = EvalCheckpoint(path)
-        assert len(reloaded) == 2
-        assert EvalCheckpoint.decode(reloaded.get("q1"))[0] is None
-        reloaded.record_example("q3")
-        assert len(EvalCheckpoint(path)) == 3
+        before = path.read_bytes()
+        proxy = PipelineProxy(rel_pipeline)
+        with pytest.raises(ResumeRefusedError, match="not an evaluation journal"):
+            evaluate_pipeline(proxy, examples, checkpoint_path=path)
+        assert proxy.answered == []
+        assert path.read_bytes() == before
 
-    def test_fsync_every_n_flushes_and_keeps_recording(self, tmp_path):
+    def test_serve_bench_journal_is_refused(self, rel_pipeline, tiny_benchmark,
+                                            tmp_path):
+        path = tmp_path / "serve.jsonl"
+        ServingJournal(path).write_header(RunSpec().to_header())
+        proxy = PipelineProxy(rel_pipeline)
+        with pytest.raises(ResumeRefusedError) as refusal:
+            evaluate_pipeline(proxy, tiny_benchmark.dev[:2], checkpoint_path=path)
+        assert "\n" not in str(refusal.value)
+        assert proxy.answered == []
+
+    def test_other_workload_is_refused(self, rel_pipeline, tiny_benchmark,
+                                       tmp_path):
         path = tmp_path / "run.jsonl"
-        checkpoint = EvalCheckpoint(path, fsync_every_n=2)
-        for question_id in ("q1", "q2", "q3", "q4", "q5"):
-            checkpoint.record_example(question_id)
-        assert len(EvalCheckpoint(path)) == 5
+        dev = tiny_benchmark.dev
+        evaluate_pipeline(rel_pipeline, dev[:3], checkpoint_path=path)
+        before = path.read_bytes()
+        proxy = PipelineProxy(rel_pipeline)
+        with pytest.raises(ResumeRefusedError, match="position 0") as refusal:
+            evaluate_pipeline(proxy, dev[1:4], checkpoint_path=path)
+        assert isinstance(refusal.value, ValueError)
+        assert "\n" not in str(refusal.value)
+        assert proxy.answered == []
+        assert path.read_bytes() == before
 
-    def test_fsync_every_n_validated(self, tmp_path):
-        with pytest.raises(ValueError):
-            EvalCheckpoint(tmp_path / "run.jsonl", fsync_every_n=-1)
+    def test_records_past_the_workload_are_ignored(self, rel_pipeline,
+                                                   tiny_benchmark, tmp_path):
+        path = tmp_path / "run.jsonl"
+        dev = tiny_benchmark.dev
+        full = evaluate_pipeline(rel_pipeline, dev[:4], checkpoint_path=path)
+        proxy = PipelineProxy(rel_pipeline)
+        prefix = evaluate_pipeline(proxy, dev[:2], checkpoint_path=path)
+        assert proxy.answered == []
+        assert score_rows(prefix) == score_rows(full)[:2]
 
 
 class TestErrorIsolation:
@@ -244,7 +282,8 @@ class TestErrorIsolation:
         path = tmp_path / "run.jsonl"
         crashing = CrashingPipeline(rel_pipeline, [examples[0].question_id])
         evaluate_pipeline(crashing, examples, checkpoint_path=path)
-        record = EvalCheckpoint(path).get(examples[0].question_id)
+        record = ServingJournal(path).committed(0)
+        assert record["status"] == "failed"
         assert "simulated pipeline crash" in record["error"]
 
 
@@ -265,13 +304,9 @@ class TestResume:
             rel_pipeline, examples, name="ref", checkpoint_path=path
         )
 
-        assert score_rows(resumed) == score_rows(uninterrupted)
-        assert resumed.ex == uninterrupted.ex
-        assert resumed.ex_g == uninterrupted.ex_g
-        assert resumed.ex_r == uninterrupted.ex_r
-        # replayed scores are bit-identical to what the killed run computed
-        for replayed, original in zip(resumed.scores[:3], partial.scores):
-            assert asdict(replayed) == asdict(original)
+        assert document(resumed) == document(uninterrupted)
+        # replayed answers score as the killed run scored them
+        assert score_rows(resumed)[:3] == score_rows(partial)
 
     def test_resume_does_not_rerun_finished_examples(
         self, rel_pipeline, tiny_benchmark, tmp_path
@@ -309,9 +344,9 @@ class TestEveryCut:
     def test_every_power_cut_resumes_to_the_uninterrupted_report(
         self, rel_pipeline, tiny_benchmark, tmp_path, monkeypatch
     ):
-        """Cut the checkpoint after every append, clean and torn, and
-        resume each cut: every resumed report equals the uninterrupted
-        run's, and no example is recorded twice."""
+        """Cut the evaluation journal after every append, clean and torn,
+        and resume each cut: every resumed report equals the uninterrupted
+        run's, and every example is committed exactly once."""
         import repro.evaluation.runner as runner
         from repro.storage.crashfuzz import RecordingOpener
         from repro.storage.format import scan_file
@@ -320,32 +355,35 @@ class TestEveryCut:
         reference = tmp_path / "reference.jsonl"
         recording = RecordingOpener()
 
-        class RecordedCheckpoint(EvalCheckpoint):
+        class RecordedJournal(ServingJournal):
             def __init__(self, path):
                 super().__init__(path, opener=recording)
 
-        monkeypatch.setattr(runner, "EvalCheckpoint", RecordedCheckpoint)
-        expected = evaluate_pipeline(
+        monkeypatch.setattr(runner, "ServingJournal", RecordedJournal)
+        expected = document(evaluate_pipeline(
             rel_pipeline, examples, name="ref", checkpoint_path=reference
-        ).deterministic_dict()
+        ))
         monkeypatch.undo()
         data = reference.read_bytes()
-        assert len(recording.log) == len(examples)  # one append per example
+        # the header, an accept and a commit per example, and the seal
+        assert len(recording.log) == 2 * len(examples) + 2
 
         cuts = list(recording.cuts())
-        assert len(cuts) == 2 * len(examples) + 1  # every clean and torn cut
+        assert len(cuts) == 2 * len(recording.log) + 1  # every clean and torn cut
         for cut_id, _kind, lengths in cuts:
             path = tmp_path / f"{cut_id}.jsonl"
             path.write_bytes(data[: lengths.get(reference.name, 0)])
             resumed = evaluate_pipeline(
                 rel_pipeline, examples, name="ref", checkpoint_path=path
             )
-            assert resumed.deterministic_dict() == expected, cut_id
+            assert document(resumed) == expected, cut_id
             scan = scan_file(path)
             assert not scan.issues, cut_id
-            assert [record["question_id"] for record in scan.parsed] == [
-                example.question_id for example in examples
-            ], cut_id
+            committed = sorted(
+                record["seq"] for record in scan.parsed
+                if record["type"] == "committed"
+            )
+            assert committed == list(range(len(examples))), cut_id
 
 
 class TestSystemRunner:
@@ -381,19 +419,6 @@ class TestSystemRunner:
         assert report.count == 3
         assert len(report.errors) == 1
         assert report.scores[0].predicted_status == "crashed"
-
-    def test_system_checkpoint_resume(self, tiny_benchmark, tmp_path):
-        examples = tiny_benchmark.dev[:4]
-        path = tmp_path / "system.jsonl"
-        first = evaluate_system(
-            self.GoldSystem(), tiny_benchmark, examples, checkpoint_path=path
-        )
-        system = self.GoldSystem()
-        resumed = evaluate_system(
-            system, tiny_benchmark, examples, checkpoint_path=path
-        )
-        assert system.answered == []  # everything replayed from disk
-        assert score_rows(resumed) == score_rows(first)
 
     def test_save_json_creates_parent_dirs(self, tiny_benchmark, tmp_path):
         report = evaluate_system(

@@ -9,7 +9,8 @@ from repro.core.pipeline import OpenSearchSQL
 from repro.llm.simulated import SimulatedLLM
 from repro.llm.skills import GPT_4O
 from repro.routing import TieredPipeline
-from repro.serving import ServingJournal, assemble_report, recover_run
+from repro.evaluation import assemble_report
+from repro.serving import ServingJournal, recover_run
 
 
 def _tiered(tiny_benchmark):
@@ -59,7 +60,7 @@ class TestRecovery:
         journal = ServingJournal(journal_path)
         journal.write_header({"test": "routed-recovery"})
         outcomes = recover_run(journal, tiered, workload)
-        report = assemble_report(outcomes, workload, tiered, name="routed")
+        report = assemble_report(outcomes, workload, tiny_benchmark, name="routed")
         return report.deterministic_dict()
 
     def test_killed_run_recovers_byte_identically(self, tiny_benchmark,
@@ -95,5 +96,5 @@ class TestRecovery:
         workload = list(tiny_benchmark.dev[:2])
         journal = ServingJournal(tmp_path / "j.jsonl")
         outcomes = recover_run(journal, tiny_pipeline, workload)
-        report = assemble_report(outcomes, workload, tiny_pipeline)
+        report = assemble_report(outcomes, workload, tiny_benchmark)
         assert "meta" not in report.deterministic_dict()

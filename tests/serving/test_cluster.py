@@ -20,6 +20,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.evaluation import assemble_report
 from repro.serving import (
     ClusterConfig,
     ServingEngine,
@@ -27,7 +28,6 @@ from repro.serving import (
     ShardCoordinator,
     ShardUnavailableError,
     ShardedJournalView,
-    assemble_report,
     recover_run,
 )
 from repro.serving.cluster.config import example_from_wire, example_to_wire
@@ -74,19 +74,19 @@ def reference_doc(tmp_path, workload):
     )
     with engine:
         engine.run(workload)
-    clean = stack.clean_pipeline()
     outcomes = recover_run(
-        ServingJournal(tmp_path / "reference" / "single.jsonl"), clean, workload
+        ServingJournal(tmp_path / "reference" / "single.jsonl"), stack.pipeline,
+        workload,
     )
-    report = assemble_report(outcomes, workload, clean)
+    report = assemble_report(outcomes, workload, stack.benchmark)
     return json.dumps(report.deterministic_dict(), sort_keys=True)
 
 
 def recovered_doc(config, workload):
     view = ShardedJournalView(config.journal_dir)
-    clean = build(config.spec).clean_pipeline()
-    outcomes = recover_run(view, clean, workload)
-    report = assemble_report(outcomes, workload, clean)
+    stack = build(config.spec)
+    outcomes = recover_run(view, stack.pipeline, workload)
+    report = assemble_report(outcomes, workload, stack.benchmark)
     return json.dumps(report.deterministic_dict(), sort_keys=True)
 
 

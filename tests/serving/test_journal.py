@@ -16,7 +16,8 @@ from repro.core.config import PipelineConfig
 from repro.core.pipeline import OpenSearchSQL
 from repro.llm.simulated import SimulatedLLM
 from repro.llm.skills import GPT_4O
-from repro.serving import ServingEngine, ServingJournal, assemble_report, recover_run
+from repro.evaluation import assemble_report
+from repro.serving import ServingEngine, ServingJournal, recover_run
 
 
 def example(question_id="q1", db_id="db_a"):
@@ -153,12 +154,11 @@ class TestRecovery:
         full_path = tmp_path / "full.jsonl"
         run_journaled(tiny_benchmark, journal_workload, full_path)
         full_journal = ServingJournal(full_path)
-        scorer = fresh_pipeline(tiny_benchmark)
         full_report = assemble_report(
             recover_run(full_journal, fresh_pipeline(tiny_benchmark),
                         journal_workload),
             journal_workload,
-            scorer,
+            tiny_benchmark,
         )
 
         # simulate a SIGKILL: keep a prefix of the journal plus a torn line
@@ -173,7 +173,7 @@ class TestRecovery:
             recover_run(killed_journal, fresh_pipeline(tiny_benchmark),
                         journal_workload),
             journal_workload,
-            scorer,
+            tiny_benchmark,
         )
 
         assert json.dumps(full_report.deterministic_dict(), sort_keys=True) == \
@@ -188,18 +188,17 @@ class TestRecovery:
         killed_path = tmp_path / "killed.jsonl"
         killed_path.write_text("\n".join(lines[:5]) + "\n")
         killed_journal = ServingJournal(killed_path)
-        scorer = fresh_pipeline(tiny_benchmark)
         recovered = assemble_report(
             recover_run(killed_journal, fresh_pipeline(tiny_benchmark),
                         journal_workload),
             journal_workload,
-            scorer,
+            tiny_benchmark,
         )
         baseline = assemble_report(
             recover_run(ServingJournal(full_path),
                         fresh_pipeline(tiny_benchmark), journal_workload),
             journal_workload,
-            scorer,
+            tiny_benchmark,
         )
         assert recovered.cost.total_tokens == baseline.cost.total_tokens
         assert recovered.cost.total_model_seconds == pytest.approx(

@@ -11,12 +11,12 @@ import json
 
 import pytest
 
+from repro.evaluation import assemble_report
 from repro.serving import (
     DoubleServeError,
     ServingEngine,
     ServingJournal,
     ShardedJournalView,
-    assemble_report,
     discover_segments,
     recover_run,
 )
@@ -214,7 +214,7 @@ class TestMergedRecovery:
         ref_outcomes = recover_run(
             ServingJournal(tmp_path / "single.jsonl"), tiny_pipeline, workload
         )
-        ref = assemble_report(ref_outcomes, workload, tiny_pipeline)
+        ref = assemble_report(ref_outcomes, workload, tiny_benchmark)
         ref_doc = json.dumps(ref.deterministic_dict(), sort_keys=True)
 
         # Sharded: split the same committed history across two segments
@@ -245,7 +245,7 @@ class TestMergedRecovery:
         view = ShardedJournalView(shard_dir)
         assert view.pending() == [6, 7, 8]
         outcomes = recover_run(view, tiny_pipeline, workload)
-        report = assemble_report(outcomes, workload, tiny_pipeline)
+        report = assemble_report(outcomes, workload, tiny_benchmark)
         doc = json.dumps(report.deterministic_dict(), sort_keys=True)
         assert doc == ref_doc
 
@@ -253,5 +253,5 @@ class TestMergedRecovery:
         again = ShardedJournalView(shard_dir)
         assert again.pending() == []
         outcomes2 = recover_run(again, tiny_pipeline, workload)
-        report2 = assemble_report(outcomes2, workload, tiny_pipeline)
+        report2 = assemble_report(outcomes2, workload, tiny_benchmark)
         assert json.dumps(report2.deterministic_dict(), sort_keys=True) == ref_doc

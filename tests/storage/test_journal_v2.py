@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import OpenSearchSQL
+from repro.evaluation import assemble_report
 from repro.llm.simulated import SimulatedLLM
 from repro.llm.skills import GPT_4O
 from repro.serving import (
@@ -22,7 +23,6 @@ from repro.serving import (
     JournalVersionError,
     ServingEngine,
     ServingJournal,
-    assemble_report,
     recover_run,
 )
 from repro.storage import FaultyStorage, StorageFaultPlan, scan_file
@@ -231,13 +231,12 @@ class TestV1Compat:
         scan = scan_file(v1_path)
         assert scan.v2_records == 0 and scan.v1_records > 0
 
-        scorer = fresh_pipeline(tiny_benchmark)
         reports = []
         for path in (v2_path, v1_path):
             outcomes = recover_run(
                 ServingJournal(path), fresh_pipeline(tiny_benchmark), workload
             )
-            report = assemble_report(outcomes, workload, scorer)
+            report = assemble_report(outcomes, workload, tiny_benchmark)
             reports.append(
                 json.dumps(report.deterministic_dict(), sort_keys=True)
             )

@@ -104,6 +104,35 @@ class TestEvaluate:
             assert pick(serial, tag) == pick(parallel, tag)
 
 
+class TestEvaluateCheckpoint:
+    def test_other_workload_is_refused_with_one_line(self, tmp_path):
+        path = tmp_path / "ck.jsonl"
+        argv = ("--candidates", "3", "evaluate", "--limit", "2",
+                "--checkpoint", str(path))
+        assert run_cli(*argv)[0] == 0
+        code, text = run_cli(*argv, "--split", "test")
+        assert code == 2
+        assert text.startswith("error: ")
+        assert "refusing to resume" in text
+        assert len(text.strip().splitlines()) == 1
+        # an evaluation journal is not a serve-bench run recover can rebuild
+        code, text = run_cli("recover", "--journal", str(path))
+        assert code == 2
+        assert text.startswith("error: journal header key(s) evaluation")
+
+    def test_serve_bench_journal_is_refused_with_one_line(self, tmp_path):
+        path = tmp_path / "serve.jsonl"
+        ServingJournal(path).write_header(RunSpec().to_header())
+        code, text = run_cli(
+            "--candidates", "3", "evaluate", "--limit", "2",
+            "--checkpoint", str(path),
+        )
+        assert code == 2
+        assert text.startswith("error: ")
+        assert "not an evaluation journal" in text
+        assert len(text.strip().splitlines()) == 1
+
+
 class TestEvaluateDeadline:
     def test_tight_deadline_degrades_not_crashes(self):
         code, text = run_cli(
@@ -322,6 +351,24 @@ class TestServeBenchPartnerFlags:
         assert text.startswith(f"error: {flag} requires --")
         assert len(text.strip().splitlines()) == 1
         assert not (tmp_path / "report.json").exists()
+
+
+    def test_report_out_with_mutate_every_is_refused(self, tmp_path, monkeypatch):
+        # a live-mutation journal replays only on the catalogs it was
+        # served on, so --report-out is refused before anything is served
+        monkeypatch.chdir(tmp_path)
+        code, text = run_cli(
+            "--candidates", "3", "serve-bench", "--workers", "1",
+            "--requests", "8", "--distinct", "3", "--mutate-every", "1",
+            "--journal", "J", "--report-out", "R",
+        )
+        assert code == 2
+        assert text.startswith(
+            "error: --report-out cannot score a --mutate-every run"
+        )
+        assert len(text.strip().splitlines()) == 1
+        assert not (tmp_path / "J").exists()
+        assert not (tmp_path / "R").exists()
 
 
 @pytest.fixture(scope="module")
