@@ -75,8 +75,8 @@ def test_drift_robustness_certification(benchmark, tmp_path):
         "stale_detected", 0
     )
 
-    # Journal commits carry the epoch stamps the mutations produced, so
-    # `repro recover` on this journal would refuse cross-epoch replay.
+    # Journal commits carry the epoch stamps the mutations produced: the
+    # stamps a replayed live-mutation schedule must reproduce.
     assert result.epoch_stamps, "no schema_epoch stamps journaled"
 
     # 2. Zero double-reindexes.

@@ -84,11 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "the same path replays answered examples and "
                          "finishes the rest")
     ev.add_argument("--fault-rate", type=float, default=0.0, metavar="R",
-                    help="inject transport/content faults at rate R "
-                         "(chaos mode; default: 0 = off)")
-    ev.add_argument("--no-retry", action="store_true",
-                    help="with --fault-rate: disable the resilient "
-                         "transport (faults hit the pipeline directly)")
+                    help="inject LLM and database faults at rate R each, "
+                         "as serve-bench does (chaos mode; default: 0 = "
+                         "off); scoring never sees a fault")
     ev.add_argument("--workers", type=int, default=1, metavar="N",
                     help="score examples on N threads (default: 1); "
                          "EX/EX_G/EX_R are identical to a serial run")
@@ -188,8 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="dump the final MetricsRegistry snapshot to PATH "
                          "as JSON")
     sb.add_argument("--report-out", metavar="PATH",
-                    help="with --journal: score the journaled run and "
-                         "write the deterministic report JSON to PATH")
+                    help="with --journal: finish the journaled run as "
+                         "'repro recover' does and write its deterministic "
+                         "report JSON to PATH")
     sb.add_argument("--storage-enospc-after", type=int, default=0,
                     metavar="N",
                     help="with --journal: the disk returns ENOSPC after N "
@@ -203,8 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "(epoch bump), invalidate the engine's caches "
                          "and reindex the mutated database; requests are "
                          "served serially so mutations land at request "
-                         "boundaries (0 = off; not supported with "
-                         "--shards or --async)")
+                         "boundaries, and 'repro recover' replays the same "
+                         "schedule (0 = off; not supported with --shards "
+                         "or --async)")
 
     rc = sub.add_parser(
         "recover",
@@ -394,29 +394,17 @@ def _cmd_run(args, out) -> int:
 
 
 def _cmd_evaluate(args, out) -> int:
-    benchmark = resolve_benchmark(args.benchmark)
-    examples = benchmark.split(args.split)
-    if args.limit:
-        examples = examples[: args.limit]
-    pipeline = _build_pipeline(benchmark, args)
-
-    injector = None
-    if args.fault_rate > 0:
-        from repro.reliability import FaultInjectingLLM, FaultPlan, ResilientLLM
-
-        # Preprocessing already ran on the clean client; only the per-
-        # question transport goes through the chaos stack.
-        injector = FaultInjectingLLM(
-            pipeline.llm, FaultPlan.chaos(args.fault_rate), seed=args.seed
-        )
-        llm = injector if args.no_retry else ResilientLLM(injector, seed=args.seed)
-        pipeline.rebind_llm(llm)
-
     from repro.serving import JournalCorruptionError, JournalVersionError
 
+    # The spec's pipeline: --fault-rate is its chaos, LLM and database
+    # faults both, bound after preprocessing ran on the clean client.
+    stack = build(RunSpec.from_args(args))
+    examples = stack.benchmark.split(args.split)
+    if args.limit:
+        examples = examples[: args.limit]
     try:
         report = evaluate_pipeline(
-            pipeline, examples,
+            stack.pipeline, examples,
             checkpoint_path=args.checkpoint,
             workers=args.workers,
             deadline_ms=args.deadline_ms or None,
@@ -451,9 +439,16 @@ def _cmd_evaluate(args, out) -> int:
     if report.errors or report.degradations:
         out.write(f"errors   : {len(report.errors)}\n")
         out.write(f"degraded : {report.degradation_counts()}\n")
-    if injector is not None:
-        out.write(f"faults   : {injector.stats.fault_counts()}\n")
+    _write_fault_counts(stack, out)
     return 0
+
+
+def _write_fault_counts(stack, out) -> None:
+    """The chaos lines of a stack built with ``--fault-rate``."""
+    if stack.llm_faults is not None:
+        out.write(f"llm faults : {stack.llm_faults.stats.fault_counts()}\n")
+    if stack.db_faults is not None:
+        out.write(f"db faults  : {stack.db_faults.fault_counts()}\n")
 
 
 _ABLATIONS = [
@@ -524,12 +519,6 @@ def _serve_bench_refusal(args) -> Optional[str]:
     if args.mutate_every > 0 and (args.shards > 0 or args.use_async):
         return ("--mutate-every serves serially on the in-process sync "
                 "engine; not supported with --shards or --async")
-    if args.mutate_every > 0 and args.report_out:
-        # the journal's answers were computed on mutated catalogs, and the
-        # catalog the report replays on starts at epoch 0: recover_run
-        # would refuse it only after every request was served
-        return ("--report-out cannot score a --mutate-every run: its "
-                "journal replays only on the catalogs it was served on")
     if args.shards > 0:
         unsupported = [
             ("--async", args.use_async),
@@ -550,6 +539,8 @@ def _serve_bench_refusal(args) -> Optional[str]:
 def _cmd_serve_bench(args, out) -> int:
     import os
     import signal
+    import tempfile
+    from pathlib import Path
 
     from repro.serving import (
         ClusterConfig,
@@ -611,38 +602,25 @@ def _cmd_serve_bench(args, out) -> int:
         runner = stack.engine(journal=journal)
         label = "async" if spec.use_async else f"{spec.mode}-loop"
 
-    driver = reindexer = None
+    schedule = None
     if spec.mutate_every > 0:
-        import tempfile
-        from pathlib import Path
-
-        from repro.livedata import EpochRegistry, MutationDriver, ReindexWorker
-
-        registry = EpochRegistry()
-        runner.attach_livedata(registry)
-        driver = MutationDriver(stack.benchmark, registry, seed=spec.seed)
         if args.journal:
             checkpoint_path = Path(str(args.journal) + ".reindex")
         else:
             _reindex_dir = tempfile.TemporaryDirectory(prefix="repro-reindex-")
             checkpoint_path = Path(_reindex_dir.name) / "reindex.jsonl"
-        reindexer = ReindexWorker(
-            stack.base, checkpoint_path, registry=registry, health=runner.health
-        )
+        schedule = stack.live_schedule(checkpoint_path, health=runner.health)
+        runner.attach_livedata(schedule.registry)
 
     with runner:
-        if driver is not None:
+        if schedule is not None:
             # Live-mutation mode serves serially so every mutation lands
             # on a request boundary; the reindexer catches the mutated
             # database up before the next request is admitted.
             results = []
             for position, example in enumerate(stack.workload):
                 results.append(runner.answer(example))
-                if (position + 1) % spec.mutate_every == 0 \
-                        and position + 1 < len(stack.workload):
-                    event = driver.mutate()
-                    runner.invalidate_db(event.db_id)
-                    reindexer.reindex(event.db_id, epoch=event.epoch)
+                schedule.after(position, runner.invalidate_db)
         elif spec.mode == "open":
             results = runner.run(stack.workload, block=False)
         else:
@@ -660,13 +638,14 @@ def _cmd_serve_bench(args, out) -> int:
             f"journal  : DISABLED after write error "
             f"({journal.disable_reason}); run completed un-journaled\n"
         )
-    if driver is not None:
+    if schedule is not None:
+        reindexer = schedule.reindexer
         kinds: dict = {}
-        for event in driver.events:
+        for event in schedule.driver.events:
             kinds[event.kind] = kinds.get(event.kind, 0) + 1
         mix = ", ".join(f"{k}={v}" for k, v in sorted(kinds.items()))
         live = runner.livedata_stats
-        out.write(f"mutations: {len(driver.events)} applied ({mix})\n")
+        out.write(f"mutations: {len(schedule.driver.events)} applied ({mix})\n")
         out.write(
             f"livedata : stale_detected={live['stale_detected']} "
             f"stale_retried={live['stale_retried']} "
@@ -681,44 +660,62 @@ def _cmd_serve_bench(args, out) -> int:
         reindexer.close()
     if spec.routing and not args.shards:
         out.write(f"routing  : {stack.pipeline.routing_stats()}\n")
-    if stack.llm_faults is not None:
-        out.write(f"llm faults : {stack.llm_faults.stats.fault_counts()}\n")
-    if stack.db_faults is not None:
-        out.write(f"db faults  : {stack.db_faults.fault_counts()}\n")
+    _write_fault_counts(stack, out)
     if args.metrics_out:
-        from pathlib import Path
-
         metrics = runner.merged_metrics() if args.shards else runner.metrics
         target = Path(args.metrics_out)
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(metrics.to_json() + "\n")
         out.write(f"metrics  : wrote snapshot to {args.metrics_out}\n")
     if args.report_out:
-        # The journal is complete here, so recover_run replays it without
-        # re-running anything; a request the engine refused is finished
-        # on a clean pipeline (no chaos wrappers), and assemble_report
-        # scores on the benchmark's own executors.  A sharded run is
-        # scored through the merged view of its segments, on the same
-        # path, so the two reports are byte-comparable.
+        # The in-memory journal holds every record, even a browned-out
+        # run's; a sharded run is read through the merged view of its
+        # segments.  Either is finished as `recover` finishes it.
         if args.shards:
             journal = ShardedJournalView(args.journal)
-        report = _finish(journal, stack, stack.clean_pipeline())
+        report = _finish(spec, journal)
         _write_deterministic_report(report, args.report_out)
         out.write(f"report   : wrote {args.report_out} (EX {report.ex:.1f})\n")
     return 0
 
 
-def _finish(journal, stack, pipeline, deadline_seconds=None):
-    """Finish the journaled run on ``pipeline`` and score it."""
-    from repro.serving import recover_run
+def _finish(spec, journal):
+    """Finish the journaled run ``spec`` describes, seal it and score it.
 
-    outcomes = recover_run(
-        journal,
-        pipeline,
-        stack.workload,
-        result_cache_size=stack.spec.result_cache_size,
-        deadline_seconds=deadline_seconds,
-    )
+    ``serve-bench --report-out`` and ``recover`` both end here, so a
+    report is a function of the spec and the journal.  The stack is
+    rebuilt from the spec with its chaos, deadline, hedge and live-
+    mutation schedule; :func:`~repro.serving.journal.recover_run` replays
+    every commit and answers what is missing, and the report is scored
+    on the benchmark's own executors after the walk, on the final
+    catalog.  Raises :class:`~repro.serving.spec.SpecError` for a routed
+    tier mix this process would not route, and
+    :class:`~repro.livedata.errors.CrossEpochReplayError` for a stamp the
+    schedule contradicts; both before anything runs.
+    """
+    import tempfile
+    from pathlib import Path
+
+    from repro.serving import recover_run
+    from repro.serving.hedging import hedge_executors
+
+    stack = build(spec)
+    stack.check_tier_mix(journal.config)
+    if spec.hedge_seconds:
+        # the hedge the run's engine installed (recover_run has no engine)
+        hedge_executors(stack.pipeline, spec.hedge_seconds)
+    with tempfile.TemporaryDirectory(prefix="repro-finish-") as scratch:
+        # the replayed schedule reindexes into a scratch checkpoint; the
+        # run's own <journal>.reindex is neither read nor appended
+        outcomes = recover_run(
+            journal,
+            stack.pipeline,
+            stack.workload,
+            result_cache_size=spec.result_cache_size,
+            deadline_seconds=spec.deadline_seconds,
+            schedule=stack.live_schedule(Path(scratch) / "reindex.jsonl"),
+        )
+    journal.seal()
     return assemble_report(outcomes, stack.workload, stack.benchmark)
 
 
@@ -744,7 +741,6 @@ def _cmd_recover(args, out) -> int:
         ServingJournal,
         ShardedJournalView,
     )
-    from repro.serving.hedging import hedge_executors
 
     if args.dry_run:
         return _recover_dry_run(args.journal, out)
@@ -773,33 +769,20 @@ def _cmd_recover(args, out) -> int:
     if not header:
         out.write(f"error: {args.journal} has no header record\n")
         return 2
+    pending_before = len(journal.pending())
+    committed_before = len(journal)
     # The header pins everything needed to rebuild the exact run: the
     # workload, the pipeline's deterministic seeds and every serving
-    # setting.  A header this version cannot rebuild, or a routed run
-    # this process would route differently, is refused.
+    # setting.  A header this version cannot rebuild, a routed run this
+    # process would route differently, or a schema_epoch stamp the live-
+    # mutation schedule contradicts is refused before anything runs.
     try:
-        stack = build(RunSpec.from_header(header))
-        stack.check_tier_mix(header)
+        spec = RunSpec.from_header(header)
+        report = _finish(spec, journal)
     except SpecError as exc:
         out.write(f"error: {exc}\n")
         return 2
-    spec = stack.spec
-    pipeline = stack.pipeline
-    if spec.hedge_seconds:
-        # the hedge the run's engine installed (recover_run has no engine)
-        hedge_executors(pipeline, spec.hedge_seconds)
-    pending_before = len(journal.pending())
-    committed_before = len(journal)
-    try:
-        # Recovery serves on the recorded stack, chaos included;
-        # assemble_report scores on the benchmark's own executors, so gold
-        # SQL never draws an injected fault.
-        report = _finish(journal, stack, pipeline, spec.deadline_seconds)
     except CrossEpochReplayError as exc:
-        # Committed records carry schema_epoch stamps this catalog can't
-        # honour (the run spanned live mutations; a rebuilt pipeline is
-        # at epoch 0): replay would re-serve answers computed against a
-        # world that no longer exists.  --dry-run shows the stamps.
         out.write(f"error: cross-epoch replay refused — {exc}\n")
         return 2
     if sharded:
@@ -810,9 +793,9 @@ def _cmd_recover(args, out) -> int:
         out.write(f"segments : {len(journal.segments)} ({shares})\n")
     out.write(
         f"journal  : {committed_before} committed, {pending_before} pending, "
-        f"{len(stack.workload) - committed_before} to finish\n"
+        f"{spec.requests - committed_before} to finish\n"
     )
-    out.write(f"recovered: {report.count}/{len(stack.workload)} requests\n")
+    out.write(f"recovered: {report.count}/{spec.requests} requests\n")
     hazards = spec.replay_hazards()
     if hazards:
         # Finished exactly once, but not replayable byte for byte: see
@@ -864,35 +847,6 @@ def _recover_dry_run(journal_path, out) -> int:
         f"{len(accepted - committed)} pending, {corrupt} corrupt lines, "
         f"{len(doubles)} double-serves\n"
     )
-    # schema_epoch stamps: a database whose committed records span more
-    # than one epoch — or any epoch other than 0 — cannot be replayed by
-    # a freshly rebuilt catalog; full 'recover' will refuse with a typed
-    # CrossEpochReplayError, and this is the inspection view of why.
-    stamps: dict = {}
-    for _name, scan in sorted(scans.items()):
-        db_by_seq = {
-            record["seq"]: record.get("db_id", "?")
-            for record in scan.parsed
-            if record.get("type") == "accepted"
-        }
-        for record in scan.parsed:
-            if record.get("type") == "committed" and "schema_epoch" in record:
-                db_id = db_by_seq.get(record.get("seq"), "?")
-                stamps.setdefault(db_id, set()).add(record["schema_epoch"])
-    mismatched = 0
-    for db_id, epochs in sorted(stamps.items()):
-        if sorted(epochs) != [0]:
-            mismatched += 1
-            out.write(
-                f"epochs: {db_id} committed at schema_epoch "
-                f"{sorted(epochs)} != replay catalog [0] — "
-                f"CROSS-EPOCH (recover will refuse)\n"
-            )
-    if stamps and not mismatched:
-        out.write(
-            f"epochs: {len(stamps)} stamped databases, all at "
-            f"schema_epoch 0 (replayable)\n"
-        )
     return 0
 
 

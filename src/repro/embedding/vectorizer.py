@@ -15,19 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.hashing import fnv1a
+
 __all__ = ["HashingVectorizer", "cosine_similarity"]
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK = (1 << 64) - 1
-
-
-def _fnv1a(data: bytes) -> int:
-    value = _FNV_OFFSET
-    for byte in data:
-        value ^= byte
-        value = (value * _FNV_PRIME) & _MASK
-    return value
 
 
 def _normalize_text(text: str) -> str:
@@ -76,12 +66,12 @@ class HashingVectorizer:
                 continue
             for i in range(len(padded) - n + 1):
                 gram = padded[i : i + n]
-                h = _fnv1a(gram.encode("utf-8"))
+                h = fnv1a(gram.encode("utf-8"))
                 index = h % self.dimensions
                 sign = 1.0 if (h >> 32) & 1 else -1.0
                 vector[index] += sign
         for word in normalized.split():
-            h = _fnv1a(("w:" + word).encode("utf-8"))
+            h = fnv1a(("w:" + word).encode("utf-8"))
             index = h % self.dimensions
             sign = 1.0 if (h >> 32) & 1 else -1.0
             vector[index] += 2.0 * sign  # whole words weigh more than grams

@@ -144,9 +144,8 @@ class EvalReport:
     def latency_summary(self) -> LatencySummary:
         """p50/p95/p99 + mean over per-example model latency.
 
-        Every bench that prints ``to_dict()`` gains this latency view for
-        free; the simulator reports decode latency instead of sleeping it,
-        so the numbers are stable across machines.
+        The simulator reports decode latency instead of sleeping it, so
+        the numbers are stable across machines.
         """
         return LatencySummary.from_values(self.latencies)
 
@@ -185,33 +184,12 @@ class EvalReport:
             counts[kind] = counts.get(kind, 0) + 1
         return counts
 
-    def to_dict(self) -> dict:
-        """JSON-serializable summary (used by ``save_json``)."""
-        from dataclasses import asdict
-
-        return {
-            "system": self.system,
-            "count": self.count,
-            "ex": self.ex,
-            "ex_g": self.ex_g,
-            "ex_r": self.ex_r,
-            "r_ves": self.r_ves,
-            "ves": self.ves,
-            "ex_by_difficulty": self.ex_by_difficulty(),
-            "cost": self.cost.summary(),
-            "stage_costs": self.stage_costs(),
-            "latency": self.latency_summary().to_dict(),
-            "errors": len(self.errors),
-            "degradations": self.degradation_counts(),
-            "scores": [asdict(score) for score in self.scores],
-        }
-
     def deterministic_dict(self) -> dict:
-        """The report restricted to its run-invariant fields.
+        """The report's one serialized form: its run-invariant fields.
 
-        ``to_dict()`` carries real wall-clock measurements (gold/predicted
-        execution times, per-stage wall seconds, VES time ratios) that
-        differ between two otherwise identical runs.  This view keeps only
+        Real wall-clock measurements (gold/predicted execution times,
+        per-stage wall seconds, VES time ratios) differ between two
+        otherwise identical runs and stay out.  This view keeps only
         what the deterministic simulator pins down — accuracy scores,
         token/call/model-second stage costs, virtual latency, degradation
         and error counts, and per-example outcomes — so two runs over the
@@ -247,15 +225,6 @@ class EvalReport:
         if self.meta:
             document["meta"] = dict(sorted(self.meta.items()))
         return document
-
-    def save_json(self, path) -> None:
-        """Write the report summary to ``path`` as JSON, creating missing
-        parent directories."""
-        import json
-
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(self.to_dict(), indent=2))
 
 
 class ResumeRefusedError(ValueError):
@@ -381,6 +350,8 @@ def evaluate_pipeline(
             journal, pipeline, examples,
             result_cache_size=0, deadline_seconds=deadline_seconds,
         )
+        # the engine's shutdown seal precedes what recovery appended
+        journal.seal()
     report = assemble_report(
         outcomes, examples, pipeline.benchmark,
         name=name or f"opensearch-sql[{pipeline.llm.model_name}]",

@@ -51,6 +51,7 @@ from repro.execution.executor import (
     ExecutionStatus,
     _connection_lock,
 )
+from repro.hashing import MASK, stable_hash
 from repro.observability.context import add_event, current_span
 
 if TYPE_CHECKING:  # avoid a circular import (reliability → core → execution)
@@ -58,26 +59,6 @@ if TYPE_CHECKING:  # avoid a circular import (reliability → core → execution
     from repro.reliability.stats import ReliabilityStats
 
 __all__ = ["DbFaultKind", "DbFaultPlan", "FaultInjectingExecutor"]
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK = 0xFFFFFFFFFFFFFFFF
-
-
-def _stable_hash(*parts: object) -> int:
-    """Process-independent FNV-1a hash with a murmur-style finalizer."""
-    value = _FNV_OFFSET
-    data = "|".join(map(str, parts)).encode()
-    for byte in data:
-        value ^= byte
-        value = (value * _FNV_PRIME) & _MASK
-    value ^= value >> 33
-    value = (value * 0xFF51AFD7ED558CCD) & _MASK
-    value ^= value >> 33
-    value = (value * 0xC4CEB9FE1A85EC53) & _MASK
-    value ^= value >> 33
-    return value
-
 
 class DbFaultKind:
     """Stat-record labels for injected database faults."""
@@ -170,7 +151,7 @@ class FaultInjectingExecutor:
     # ------------------------------------------------------------- helpers
 
     def _draw(self, sql: str, attempt: int, occurrence: int) -> float:
-        return _stable_hash(self.seed, sql, attempt, occurrence) / float(_MASK)
+        return stable_hash(self.seed, sql, attempt, occurrence) / float(MASK)
 
     def _record(self, kind: str, detail: str = "") -> None:
         with self._stats_lock:
@@ -180,7 +161,7 @@ class FaultInjectingExecutor:
         add_event("db_fault", kind=kind, detail=detail)
 
     def _content_rng_index(self, sql: str, attempt: int, n: int) -> int:
-        return _stable_hash("victim", self.seed, sql, attempt) % max(1, n)
+        return stable_hash("victim", self.seed, sql, attempt) % max(1, n)
 
     # ----------------------------------------------------------------- API
 

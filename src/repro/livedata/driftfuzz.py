@@ -6,8 +6,10 @@ certifies the three invariants the live-mutation world promises:
 
 1. **Zero stale serves.**  A routed serving run is interleaved with
    seeded :class:`~repro.livedata.mutations.MutationDriver` mutations at
-   request boundaries; after each mutation the engine's caches are
-   invalidated and the :class:`~repro.livedata.reindex.ReindexWorker`
+   request boundaries, on the live-mutation schedule of the campaign's
+   :class:`~repro.serving.spec.RunSpec` (the one serve-bench and
+   ``recover`` step through); after each mutation the engine's caches
+   are invalidated and the :class:`~repro.livedata.reindex.ReindexWorker`
    brings the artifacts up to the new epoch.  The engine's
    ``stale_served`` counter — a completed answer whose catalog moved
    under it undetected — must end the campaign at exactly zero, and
@@ -34,14 +36,12 @@ documents; ``bench_drift`` diffs exactly that.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Union
 
-from repro.livedata.epoch import EpochRegistry
-from repro.livedata.mutations import MutationDriver
 from repro.livedata.reindex import DoubleReindexError, ReindexWorker
-from repro.storage.crashfuzz import RecordingOpener, build_campaign
+from repro.storage.crashfuzz import RecordingOpener, campaign_spec
 
 __all__ = ["DriftFuzzConfig", "DriftOutcome", "DriftFuzzResult", "run_drift_fuzz"]
 
@@ -159,36 +159,24 @@ def run_drift_fuzz(
     config: DriftFuzzConfig, workdir: Union[str, Path]
 ) -> DriftFuzzResult:
     """Run one full campaign under ``workdir`` (left on disk for triage)."""
-    from repro.serving.engine import ServingEngine
     from repro.serving.journal import ServingJournal, epoch_stamps
+    from repro.serving.spec import build
 
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    workload, pipeline, _cluster = build_campaign(config)
-    registry = EpochRegistry()
-    driver = MutationDriver(pipeline.benchmark, registry, seed=config.seed)
+    stack = build(replace(campaign_spec(config), mutate_every=config.mutate_every))
+    workload, pipeline = stack.workload, stack.pipeline
     result = DriftFuzzResult()
 
     # ------------------------------------------------ phase 1: serve+drift
     journal = ServingJournal(workdir / "journal.jsonl")
     journal.write_header({"kind": "drift-fuzz", "seed": config.seed})
-    engine = ServingEngine(
-        pipeline,
-        workers=1,
-        queue_capacity=max(4, config.requests),
-        journal=journal,
-    )
+    engine = stack.engine(workers=1, journal=journal)
+    schedule = stack.live_schedule(workdir / "reindex.jsonl", health=engine.health)
+    registry, driver, worker = schedule.registry, schedule.driver, schedule.reindexer
     engine.attach_livedata(registry)
-    worker = ReindexWorker(
-        pipeline,
-        workdir / "reindex.jsonl",
-        registry=registry,
-        health=engine.health,
-    )
-    served = 0
-    for example in workload:
+    for position, example in enumerate(workload):
         answer = engine.answer(example)
-        served += 1
         result.requests.append(
             {
                 "question_id": example.question_id,
@@ -198,10 +186,7 @@ def run_drift_fuzz(
                 "degradations": sorted(answer.degradations),
             }
         )
-        if served % config.mutate_every == 0 and served < len(workload):
-            event = driver.mutate()
-            engine.invalidate_db(event.db_id)
-            worker.reindex(event.db_id, epoch=event.epoch)
+        schedule.after(position, engine.invalidate_db)
     result.epoch_stamps = epoch_stamps(journal, workload)
     engine.shutdown()
     result.reindexes = [report.to_dict() for report in worker.reports]

@@ -33,9 +33,9 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.datasets.build import Benchmark, BuiltDatabase
+from repro.hashing import stable_hash
 from repro.livedata.epoch import EpochRegistry
 from repro.schema.model import Column, Database
-from repro.storage.faults import stable_hash
 
 __all__ = ["MutationEvent", "MutationDriver", "MUTATION_KINDS"]
 
@@ -112,6 +112,15 @@ class MutationDriver:
     def _pick(self, options: list, *parts: object):
         return options[self._draw(*parts) % len(options)]
 
+    def database(self, counter: int) -> str:
+        """The database the ``counter``-th unpinned mutation draws.
+
+        A function of the seed and the counter alone, so the epoch every
+        database has after any prefix of the schedule is known before a
+        single mutation is applied.
+        """
+        return self._pick(sorted(self.benchmark.databases), counter, "db")
+
     # -------------------------------------------------------------- applying
 
     def mutate(self, db_id: Optional[str] = None) -> MutationEvent:
@@ -124,7 +133,7 @@ class MutationDriver:
             counter = self._counter
             self._counter += 1
             if db_id is None:
-                db_id = self._pick(sorted(self.benchmark.databases), counter, "db")
+                db_id = self.database(counter)
             built = self.benchmark.databases[db_id]
             kind = self._pick(list(self.kinds), counter, "kind")
             if kind == "drop_column" and not self._drift_columns.get(db_id):

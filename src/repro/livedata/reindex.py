@@ -45,9 +45,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Union
 
+from repro.hashing import stable_hash
 from repro.livedata.errors import LiveDataError
 from repro.storage.format import JOURNAL_VERSION, AppendLog, JournalCorruptionError
-from repro.storage.faults import stable_hash
 
 __all__ = [
     "DoubleReindexError",

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.caching import LRUCache
 from repro.datasets.types import Example, ValueMention
+from repro.hashing import MASK, stable_hash
 from repro.llm import noise
 from repro.llm._noise_wrongcol import wrong_filter_column
 from repro.llm.base import LLMResponse, TokenUsage, count_tokens
@@ -86,10 +87,6 @@ def hard_fail_scale(example: Example, gold_like: SQLLike) -> float:
         + (0.35 if dirty else 0.0)
     )
 
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK = (1 << 64) - 1
 
 #: trick-family traits handled by the trick_miss channel
 _TRICK_TRAITS = ("needs_distinct", "date_format", "evidence_formula")
@@ -152,22 +149,10 @@ class SimulatedLLM:
     # ------------------------------------------------------------- helpers
 
     def _hash(self, *parts: object) -> int:
-        value = _FNV_OFFSET
-        data = "|".join([str(self.seed), self.skill.name, *map(str, parts)]).encode()
-        for byte in data:
-            value ^= byte
-            value = (value * _FNV_PRIME) & _MASK
-        # FNV-1a avalanches poorly on trailing-byte changes (candidate
-        # indexes land at the end of the key), so finalize murmur3-style.
-        value ^= value >> 33
-        value = (value * 0xFF51AFD7ED558CCD) & _MASK
-        value ^= value >> 33
-        value = (value * 0xC4CEB9FE1A85EC53) & _MASK
-        value ^= value >> 33
-        return value
+        return stable_hash(self.seed, self.skill.name, *parts)
 
     def _uniform(self, *parts: object) -> float:
-        return self._hash(*parts) / float(_MASK)
+        return self._hash(*parts) / float(MASK)
 
     def _content_rng(self, *parts: object) -> np.random.Generator:
         return np.random.default_rng(self._hash("content", *parts))

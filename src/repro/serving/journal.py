@@ -26,10 +26,10 @@ sequence — and a clean shutdown appends an epoch-stamped ``seal``)::
 (``schema_epoch`` appears only on runs with a live-mutation catalog
 attached — see ``epoch_provider`` — and records the database's
 catalog epoch at commit time.  It is unrelated to the seal ``epoch``,
-which counts journal *sessions*.  :func:`recover_run` refuses to replay
-records whose ``schema_epoch`` differs from the replay catalog's
-current epoch: the world those answers were computed against no longer
-exists.)
+which counts journal *sessions*.  :func:`recover_run` replays a live
+run's mutation schedule after the same positions, and refuses, before
+anything runs, a record whose ``schema_epoch`` differs from the epoch
+the schedule gives its database at that position.)
 
 v1 journals (no ``crc`` fields, ``version: 1`` header) load unchanged:
 lines without a CRC are accepted unverified, and strict interior-damage
@@ -81,7 +81,7 @@ from __future__ import annotations
 import errno
 import threading
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.caching import LRUCache, result_cache_key
 from repro.core.cost import CostTracker, decode_cost, encode_cost
@@ -95,6 +95,9 @@ from repro.storage.format import (
     JournalCorruptionError,
     JournalVersionError,
 )
+
+if TYPE_CHECKING:
+    from repro.serving.spec import LiveSchedule
 
 __all__ = [
     "JOURNAL_VERSION",
@@ -152,7 +155,8 @@ class ServingJournal:
         self.disabled = False
         self.disable_reason: Optional[str] = None
         self.write_errors: dict[str, int] = {}
-        self._sealed_now = False
+        #: this session's last append was a seal
+        self._session_sealed = False
         self.config: dict = {}
         self._accepted: dict[int, dict] = {}
         self._committed: dict[int, dict] = {}
@@ -206,7 +210,7 @@ class ServingJournal:
             return
         if record.get("type") != "seal":
             # any new record past a seal re-opens the file's history
-            self.sealed = False
+            self.sealed = self._session_sealed = False
 
     def write_header(self, config: dict) -> None:
         """Record the run's workload parameters (idempotent per journal)."""
@@ -290,13 +294,16 @@ class ServingJournal:
 
         Always syncs, even when the append count isn't a multiple of
         ``fsync_every_n``: a sealed journal's final batch must never be
-        droppable on power cut.  Idempotent per journal instance; a
-        browned-out journal skips sealing (the disk already rejected us).
+        droppable on power cut.  A no-op when this session's last append
+        was already a seal; records appended after one (recovery finishing
+        requests the engine refused after its shutdown seal) are sealed by
+        the next call.  A browned-out journal skips sealing (the disk
+        already rejected us).
         """
         with self._lock:
-            if self._sealed_now or self.disabled:
+            if self._session_sealed or self.disabled:
                 return
-            self._sealed_now = True
+            self._session_sealed = True
             self._append(
                 {
                     "type": "seal",
@@ -406,19 +413,32 @@ def epoch_stamps(journal: ServingJournal, workload: list[Example]) -> dict[str, 
 
 
 def check_epoch_stamps(
-    journal: ServingJournal, pipeline: OpenSearchSQL, workload: list[Example]
+    journal: ServingJournal,
+    pipeline: OpenSearchSQL,
+    workload: list[Example],
+    schedule: Optional[LiveSchedule] = None,
 ) -> None:
-    """Refuse cross-epoch replay (see :func:`recover_run`)."""
-    stamps = epoch_stamps(journal, workload)
-    if not stamps:
-        return
+    """Refuse cross-epoch replay (see :func:`recover_run`).
+
+    Every stamped commit must carry the epoch its database has while its
+    position is served: the ``schedule``'s epoch at that position, or,
+    without a schedule, the replay catalog's current epoch (``pipeline.
+    epochs``, 0 on a fresh catalog).  Reads only; nothing is appended.
+    """
     from repro.livedata.errors import CrossEpochReplayError
 
     registry = getattr(pipeline, "epochs", None)
-    for db_id, epochs in stamps.items():
-        current = registry.epoch(db_id) if registry is not None else 0
-        if epochs != [current]:
-            raise CrossEpochReplayError(db_id, tuple(epochs), current)
+    for seq, example in enumerate(workload):
+        record = journal.committed(seq)
+        if record is None or "schema_epoch" not in record:
+            continue
+        if schedule is not None:
+            expected = schedule.epoch_at(example.db_id, seq)
+        else:
+            expected = registry.epoch(example.db_id) if registry is not None else 0
+        if record["schema_epoch"] != expected:
+            recorded = epoch_stamps(journal, workload)[example.db_id]
+            raise CrossEpochReplayError(example.db_id, tuple(recorded), expected)
 
 
 def recover_run(
@@ -427,6 +447,7 @@ def recover_run(
     workload: list[Example],
     result_cache_size: int = 512,
     deadline_seconds: Optional[float] = None,
+    schedule: Optional[LiveSchedule] = None,
 ) -> list[tuple[str, Optional[PipelineResult], CostTracker, Optional[str]]]:
     """Replay a journaled run to completion, exactly once per request.
 
@@ -442,18 +463,31 @@ def recover_run(
     requests (committed ``"failed"`` or a fresh raise) carry ``None``
     results, mirroring ``ServingEngine.run``.
 
-    Raises :class:`~repro.livedata.errors.CrossEpochReplayError` when any
-    committed record carries a ``schema_epoch`` stamp that differs from
-    the replay catalog's current epoch for that database (a freshly
-    rebuilt pipeline is at epoch 0 everywhere): replaying it would
-    re-serve answers computed against a catalog that no longer exists.
+    A live-mutation run passes its spec's
+    :class:`~repro.serving.spec.LiveSchedule` (built on ``pipeline``'s
+    stack): the walk applies the same mutations after the same positions
+    the served run did, ``pipeline.epochs`` becomes the schedule's
+    registry (result-cache keys carry epochs as the engine's do), and the
+    commits recovery writes are stamped from it.
+
+    Raises :class:`~repro.livedata.errors.CrossEpochReplayError`, before
+    anything is replayed or appended, when a committed record's
+    ``schema_epoch`` stamp differs from the epoch its database has at
+    that position (see :func:`check_epoch_stamps`): replaying it would
+    re-serve an answer computed against another catalog.
     """
-    check_epoch_stamps(journal, pipeline, workload)
+    check_epoch_stamps(journal, pipeline, workload, schedule)
+    if schedule is not None:
+        pipeline.epochs = schedule.registry
+        journal.epoch_provider = schedule.registry.epoch
     # size 0 disables the tier (every get misses), matching the engine's
     # --no-cache semantics so recovery mirrors the original hit pattern
     cache = LRUCache(result_cache_size)
     outcomes: list[tuple[str, Optional[PipelineResult], CostTracker, Optional[str]]] = []
     for seq, example in enumerate(workload):
+        if schedule is not None and seq:
+            # the mutation that fell after the previous position, if any
+            schedule.after(seq - 1, cache.invalidate_db)
         # Tier-aware like the engine's key: a routed run recovers with the
         # same per-tier hit pattern the uninterrupted run had.
         key = result_cache_key(example, pipeline)
@@ -504,4 +538,3 @@ def recover_run(
             cache.put(key, result)
         outcomes.append(("ok", result, result.cost, None))
     return outcomes
-

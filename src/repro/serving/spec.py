@@ -6,19 +6,28 @@ where output goes or how a run is disturbed (``--journal``,
 ``--kill-after`` ...) stay out: ``repro recover`` must not replay them.
 :func:`build` turns a spec into a :class:`Stack`, and every served stack
 comes from it: serve-bench in-process and sharded, ``recover``,
-``trace``, ``metrics``, cluster workers and both fuzz campaigns.  The
-journal header is ``spec.to_header()`` and ``recover`` rebuilds from
-:meth:`RunSpec.from_header`, so a setting goes from flag to header to
-rebuilt stack in one place.
+``evaluate``, ``trace``, ``metrics``, cluster workers and both fuzz
+campaigns.  The journal header is ``spec.to_header()`` and ``recover``
+rebuilds from :meth:`RunSpec.from_header`, so a setting goes from flag to
+header to rebuilt stack in one place.  A ``mutate_every`` spec's stack
+also owns its :class:`LiveSchedule`, the one place that says which
+mutation falls after which request.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
-__all__ = ["RunSpec", "SpecError", "Stack", "build", "resolve_benchmark"]
+__all__ = [
+    "LiveSchedule",
+    "RunSpec",
+    "SpecError",
+    "Stack",
+    "build",
+    "resolve_benchmark",
+]
 
 
 class SpecError(ValueError):
@@ -127,11 +136,11 @@ class RunSpec:
     def replay_hazards(self) -> list[str]:
         """The settings that keep a recovered run from matching an
         uninterrupted one: chaos draws faults in call order and carries
-        retry and breaker state across requests, a deadline reads the
-        clock, and live mutations move the catalog."""
+        retry and breaker state across requests, and a deadline reads the
+        clock."""
         return [
             f"{name}={getattr(self, name)}"
-            for name in ("fault_rate", "deadline_ms", "mutate_every")
+            for name in ("fault_rate", "deadline_ms")
             if getattr(self, name) > 0
         ]
 
@@ -195,19 +204,7 @@ class Stack:
         #: routing, the single-backend LLM fault injector, the database
         #: fault counters and the backend pool
         self.base = self.llm_faults = self.db_faults = self.backends = None
-
-    def _route(self, base):
-        if not self.spec.routing:
-            return base
-        from repro.routing import TieredPipeline
-
-        return TieredPipeline(base)
-
-    def clean_pipeline(self):
-        """A fresh pipeline of this spec with no chaos, backends or engine
-        wrappers: what ``serve-bench --report-out`` finishes refused
-        requests on."""
-        return self._route(self.spec.base_pipeline(self.benchmark))
+        self._schedule: Optional[LiveSchedule] = None
 
     @cached_property
     def pipeline(self):
@@ -228,7 +225,11 @@ class Stack:
 
         spec = self.spec
         self.base = base = spec.base_pipeline(self.benchmark)
-        served = self._route(base)
+        served = base
+        if spec.routing:
+            from repro.routing import TieredPipeline
+
+            served = TieredPipeline(base)
         clean_llm = llm = base.llm
         if spec.fault_rate > 0:
             plan = FaultPlan.chaos(spec.fault_rate)
@@ -281,6 +282,18 @@ class Stack:
         engine_cls = AsyncServingEngine if spec.use_async else ServingEngine
         return engine_cls(pipeline, **{**settings, **overrides})
 
+    def live_schedule(self, checkpoint_path, health=None) -> Optional["LiveSchedule"]:
+        """This stack's live-mutation schedule, built on first use; None
+        unless the spec sets ``mutate_every``.
+
+        ``checkpoint_path`` is where its reindexer checkpoints, and
+        ``health`` the serving engine's monitor the reindexer reports to
+        (both are read only by the first call).
+        """
+        if self._schedule is None and self.spec.mutate_every > 0:
+            self._schedule = LiveSchedule(self, checkpoint_path, health)
+        return self._schedule
+
     def header(self) -> dict:
         """The journal header: the spec, plus the routed tier mix."""
         header = self.spec.to_header()
@@ -299,6 +312,55 @@ class Stack:
                 f"this process routes {routed}; refusing to replay under a "
                 f"different tier mix"
             )
+
+
+class LiveSchedule:
+    """The live-mutation schedule of a ``mutate_every`` spec, on one stack.
+
+    It holds the stack's :class:`~repro.livedata.EpochRegistry`, its
+    seeded :class:`~repro.livedata.MutationDriver` and a
+    :class:`~repro.livedata.ReindexWorker` on the FULL-tier pipeline, and
+    the one rule for where a mutation falls: after position ``p`` when
+    ``(p + 1) % mutate_every == 0`` and ``p + 1 < requests``.
+    serve-bench, drift-fuzz and :func:`~repro.serving.journal.recover_run`
+    all step through :meth:`after`, so a recovered live run moves its
+    catalog after the same positions as the run it finishes.
+    """
+
+    def __init__(self, stack: Stack, checkpoint_path, health=None):
+        from repro.livedata import EpochRegistry, MutationDriver, ReindexWorker
+
+        self.every = stack.spec.mutate_every
+        self.requests = len(stack.workload)
+        self.registry = EpochRegistry()
+        self.driver = MutationDriver(
+            stack.benchmark, self.registry, seed=stack.spec.seed
+        )
+        stack.pipeline  # builds stack.base, the FULL tier
+        self.reindexer = ReindexWorker(
+            stack.base, checkpoint_path, registry=self.registry, health=health
+        )
+        #: the database each scheduled mutation draws, in order
+        self._draws = [
+            self.driver.database(counter)
+            for counter in range((self.requests - 1) // self.every)
+        ]
+
+    def after(self, position: int, invalidate: Callable[[str], object]):
+        """Apply the mutation that falls after ``position``, if one does:
+        mutate, ``invalidate(db_id)``, then reindex.  Returns the
+        :class:`~repro.livedata.MutationEvent`, or None."""
+        if (position + 1) % self.every or position + 1 >= self.requests:
+            return None
+        event = self.driver.mutate()
+        invalidate(event.db_id)
+        self.reindexer.reindex(event.db_id, epoch=event.epoch)
+        return event
+
+    def epoch_at(self, db_id: str, position: int) -> int:
+        """``db_id``'s ``schema_epoch`` while ``position`` is served: how
+        many of the mutations after earlier positions drew it."""
+        return self._draws[: position // self.every].count(db_id)
 
 
 def build(spec: RunSpec) -> Stack:

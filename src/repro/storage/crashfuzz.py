@@ -30,7 +30,7 @@ serve (ring-routed accepts/commits, engine cache semantics), so cut
 recoveries and the reference converge by construction — any divergence
 is a real crash-consistency bug, not harness skew.
 
-:class:`RecordingOpener` and :func:`build_campaign` are shared with the
+:class:`RecordingOpener` and :func:`campaign_spec` are shared with the
 drift fuzzer (:mod:`repro.livedata.driftfuzz`), which cuts the reindex
 checkpoint the same way.
 """
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
-from repro.storage.faults import stable_hash
+from repro.hashing import stable_hash
 from repro.storage.format import JournalCorruptionError, JournalVersionError
 from repro.storage.fsck import repair_file
 
@@ -54,7 +54,7 @@ __all__ = [
     "FuzzOutcome",
     "FuzzResult",
     "RecordingOpener",
-    "build_campaign",
+    "campaign_spec",
     "run_crash_fuzz",
 ]
 
@@ -182,18 +182,18 @@ class RecordingOpener:
                     yield f"torn-{k:03d}", "torn", self.lengths(k, torn=True)
 
 
-def build_campaign(config, shards: int = 1):
-    """(workload, pipeline, cluster) for a crash- or drift-fuzz campaign.
+def campaign_spec(config):
+    """The :class:`~repro.serving.spec.RunSpec` a crash- or drift-fuzz
+    campaign serves.
 
     ``config`` carries ``benchmark``, ``candidates``, ``seed``,
     ``routing``, ``distinct`` and ``requests``.  The distinct pool is
     spread across databases so the ring actually partitions the workload
     over all shards.
     """
-    from repro.serving.cluster.config import ClusterConfig
-    from repro.serving.spec import RunSpec, build
+    from repro.serving.spec import RunSpec
 
-    spec = RunSpec(
+    return RunSpec(
         benchmark=config.benchmark,
         candidates=config.candidates,
         seed=config.seed,
@@ -202,10 +202,6 @@ def build_campaign(config, shards: int = 1):
         distinct=config.distinct,
         pool="spread",
     )
-    stack = build(spec)
-    # log paths come from the fuzz workdir, not the cluster's journal_dir
-    cluster = ClusterConfig(shards=shards, journal_dir="unused", spec=spec)
-    return stack.workload, stack.pipeline, cluster
 
 
 def _write_reference(config, cluster, pipeline, workload, ref_dir: Path):
@@ -283,8 +279,15 @@ def run_crash_fuzz(
     config: CrashFuzzConfig, workdir: Union[str, Path]
 ) -> FuzzResult:
     """Run one full campaign under ``workdir`` (left on disk for triage)."""
+    from repro.serving.cluster.config import ClusterConfig
+    from repro.serving.spec import build
+
     workdir = Path(workdir)
-    workload, pipeline, cluster = build_campaign(config, config.shards)
+    spec = campaign_spec(config)
+    stack = build(spec)
+    workload, pipeline = stack.workload, stack.pipeline
+    # log paths come from the fuzz workdir, not the cluster's journal_dir
+    cluster = ClusterConfig(shards=config.shards, journal_dir="unused", spec=spec)
     ref_dir = workdir / "reference"
     recording, ref_doc = _write_reference(
         config, cluster, pipeline, workload, ref_dir

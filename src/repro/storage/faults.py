@@ -42,30 +42,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-__all__ = ["StorageFaultPlan", "FaultyFile", "FaultyStorage", "stable_hash"]
+from repro.hashing import MASK, stable_hash
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK = 0xFFFFFFFFFFFFFFFF
-
-
-def stable_hash(*parts: object) -> int:
-    """Process-independent FNV-1a hash with a murmur-style finalizer.
-
-    Mirrors ``execution/chaos.py`` so one seed discipline governs every
-    chaos layer in the repo.
-    """
-    value = _FNV_OFFSET
-    data = "|".join(map(str, parts)).encode()
-    for byte in data:
-        value ^= byte
-        value = (value * _FNV_PRIME) & _MASK
-    value ^= value >> 33
-    value = (value * 0xFF51AFD7ED558CCD) & _MASK
-    value ^= value >> 33
-    value = (value * 0xC4CEB9FE1A85EC53) & _MASK
-    value ^= value >> 33
-    return value
+__all__ = ["StorageFaultPlan", "FaultyFile", "FaultyStorage"]
 
 
 @dataclass(frozen=True)
@@ -241,7 +220,7 @@ class FaultyStorage:
     # ------------------------------------------------------------- internals
 
     def _draw(self, path: Path, append_index: int) -> float:
-        return stable_hash(self.seed, str(path), append_index) / float(_MASK)
+        return stable_hash(self.seed, str(path), append_index) / float(MASK)
 
     def _pick_fault(self, path: Path, state: _PathState) -> Optional[str]:
         if (

@@ -128,7 +128,8 @@ class TestReportLatency:
         assert summary.p95 >= summary.p50 > 0
 
     def test_latency_in_to_dict(self, tiny_pipeline, tiny_benchmark):
-        payload = evaluate_pipeline(tiny_pipeline, tiny_benchmark.dev[:3]).to_dict()
+        report = evaluate_pipeline(tiny_pipeline, tiny_benchmark.dev[:3])
+        payload = report.deterministic_dict()
         assert payload["latency"]["count"] == 3
         assert payload["latency"]["p50"] > 0
 
@@ -172,24 +173,3 @@ class TestFormatTable:
 
     def test_empty_rows(self):
         assert "A" in format_table(["A"], [])
-
-
-class TestReportExport:
-    def test_to_dict_shape(self, tiny_pipeline, tiny_benchmark):
-        report = evaluate_pipeline(tiny_pipeline, tiny_benchmark.dev[:4])
-        payload = report.to_dict()
-        assert payload["count"] == 4
-        assert set(payload) >= {
-            "system", "ex", "ex_g", "ex_r", "r_ves", "ves", "scores", "cost",
-        }
-        assert len(payload["scores"]) == 4
-
-    def test_save_json_round_trip(self, tiny_pipeline, tiny_benchmark, tmp_path):
-        import json
-
-        report = evaluate_pipeline(tiny_pipeline, tiny_benchmark.dev[:4])
-        target = tmp_path / "report.json"
-        report.save_json(target)
-        loaded = json.loads(target.read_text())
-        assert loaded["ex"] == report.ex
-        assert loaded["scores"][0]["question_id"] == report.scores[0].question_id

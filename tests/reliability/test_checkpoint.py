@@ -17,7 +17,7 @@ from repro.evaluation.runner import (
 from repro.llm.base import TokenUsage
 from repro.serving import JournalCorruptionError, ServingJournal
 from repro.serving.spec import RunSpec
-from repro.storage.format import encode_record
+from repro.storage.format import encode_record, scan_file
 
 
 class PipelineProxy:
@@ -287,6 +287,28 @@ class TestErrorIsolation:
         assert "simulated pipeline crash" in record["error"]
 
 
+class TestSeal:
+    def test_examples_the_engine_refused_are_sealed_after_recovery(
+        self, rel_pipeline, tiny_benchmark, tmp_path, monkeypatch
+    ):
+        from repro.serving.admission import AdmissionController, QueueFullError
+
+        def shed(self, block=False, timeout=None):
+            raise QueueFullError("request shed")
+
+        # the engine refuses every example and seals at shutdown; the
+        # recovery that answers them appends after that seal
+        monkeypatch.setattr(AdmissionController, "admit", shed)
+        path = tmp_path / "run.jsonl"
+        report = evaluate_pipeline(
+            rel_pipeline, tiny_benchmark.dev[:2], checkpoint_path=path
+        )
+        assert report.count == 2 and not report.errors
+        scan = scan_file(path)
+        assert scan.committed == {0, 1}
+        assert scan.sealed
+
+
 class TestResume:
     def test_kill_and_resume_matches_uninterrupted_run(
         self, rel_pipeline, tiny_benchmark, tmp_path
@@ -419,13 +441,3 @@ class TestSystemRunner:
         assert report.count == 3
         assert len(report.errors) == 1
         assert report.scores[0].predicted_status == "crashed"
-
-    def test_save_json_creates_parent_dirs(self, tiny_benchmark, tmp_path):
-        report = evaluate_system(
-            self.GoldSystem(), tiny_benchmark, tiny_benchmark.dev[:2]
-        )
-        target = tmp_path / "reports" / "nested" / "out.json"
-        report.save_json(target)
-        payload = json.loads(target.read_text())
-        assert payload["count"] == 2
-        assert "degradations" in payload and "errors" in payload

@@ -122,8 +122,9 @@ class TestDerived:
 
     def test_replay_hazards_name_the_uncertifiable_settings(self):
         assert RunSpec(hedge_ms=500, backends=2, routing=True).replay_hazards() == []
+        # a live-mutation schedule replays, so mutate_every is no hazard
         assert EVERY_FIELD_SET.replay_hazards() == [
-            "fault_rate=0.3", "deadline_ms=60000.0", "mutate_every=4",
+            "fault_rate=0.3", "deadline_ms=60000.0",
         ]
 
 
@@ -143,9 +144,6 @@ class TestBuild:
         # FAST and HEAVY keep their own clean clients
         assert type(pipeline.fast_llm).__name__ == "SimulatedLLM"
         assert type(pipeline.heavy_llm).__name__ == "SimulatedLLM"
-        clean = stack.clean_pipeline()
-        assert clean.base.executor_wrapper is None
-        assert type(clean.llm).__name__ == "SimulatedLLM"
         assert set(stack.header()) == {f.name for f in fields(RunSpec)} | {
             "tier_mix"
         }
@@ -165,3 +163,32 @@ class TestBuild:
     def test_unknown_benchmark_is_a_spec_error(self):
         with pytest.raises(SpecError, match="unknown benchmark"):
             build(RunSpec(benchmark="nope"))
+
+
+class TestLiveSchedule:
+    def test_only_a_mutate_every_spec_has_one(self, tmp_path):
+        stack = build(RunSpec(benchmark="cluster-smoke", requests=2, distinct=2))
+        assert stack.live_schedule(tmp_path / "reindex.jsonl") is None
+
+    def test_mutations_fall_after_the_spec_positions(self, tmp_path):
+        stack = build(
+            RunSpec(benchmark="cluster-smoke", candidates=3, requests=7,
+                    distinct=3, pool="spread", mutate_every=3)
+        )
+        schedule = stack.live_schedule(tmp_path / "reindex.jsonl")
+        assert stack.live_schedule(tmp_path / "other.jsonl") is schedule
+        databases = sorted(stack.benchmark.databases)
+        invalidated, steps = [], []
+        for position in range(7):
+            # the epochs follow from the spec alone, before any mutation
+            assert {db: schedule.registry.epoch(db) for db in databases} == {
+                db: schedule.epoch_at(db, position) for db in databases
+            }
+            if schedule.after(position, invalidated.append) is not None:
+                steps.append(position)
+        # never after the last position
+        assert steps == [2, 5]
+        assert invalidated == [event.db_id for event in schedule.driver.events]
+        assert [(r.db_id, r.epoch) for r in schedule.reindexer.reports] == [
+            (event.db_id, event.epoch) for event in schedule.driver.events
+        ]

@@ -4,8 +4,8 @@ import errno
 
 import pytest
 
+from repro.hashing import stable_hash
 from repro.storage import FaultyStorage, StorageFaultPlan
-from repro.storage.faults import stable_hash
 
 
 class TestPlan:

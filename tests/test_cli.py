@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.serving import ServingJournal
+from repro.serving.admission import AdmissionController, QueueFullError
 from repro.serving.spec import RunSpec
 from repro.storage.format import encode_record
 
@@ -17,16 +18,31 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
-def rewrite_header(source, target, edit):
-    """Copy a journal to ``target`` with ``edit`` applied to its header
-    config, re-framed so the edit is not read as damage."""
+def rewrite_record(source, target, index, edit):
+    """Copy a journal to ``target`` with ``edit`` applied to the record on
+    line ``index``, re-framed so the edit is not read as damage."""
     lines = source.read_text().splitlines()
-    record = json.loads(lines[0])
+    record = json.loads(lines[index])
     record.pop("crc")
     rec = record.pop("rec")
-    edit(record["config"])
-    lines[0] = encode_record(record, rec)
+    edit(record)
+    lines[index] = encode_record(record, rec)
     target.write_text("\n".join(lines) + "\n")
+    return target
+
+
+def rewrite_header(source, target, edit):
+    """Copy a journal to ``target`` with ``edit`` applied to its header
+    config."""
+    return rewrite_record(source, target, 0, lambda record: edit(record["config"]))
+
+
+def cut_after_commits(source, target, commits):
+    """Copy a journal to ``target`` up to its ``commits``-th commit line:
+    what a SIGKILL right after that commit leaves behind."""
+    lines = source.read_text().splitlines()
+    ends = [i for i, line in enumerate(lines) if '"type": "committed"' in line]
+    target.write_text("\n".join(lines[: ends[commits - 1] + 1]) + "\n")
     return target
 
 
@@ -131,6 +147,21 @@ class TestEvaluateCheckpoint:
         assert text.startswith("error: ")
         assert "not an evaluation journal" in text
         assert len(text.strip().splitlines()) == 1
+
+
+class TestEvaluateChaos:
+    def test_fault_rate_injects_llm_and_database_faults(self):
+        code, text = run_cli(
+            "--candidates", "3", "evaluate", "--limit", "6", "--fault-rate", "0.3",
+        )
+        assert code == 0
+        assert "examples : 6" in text
+        assert "llm faults :" in text
+        assert "db faults  :" in text
+
+    def test_no_retry_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["evaluate", "--no-retry"])
 
 
 class TestEvaluateDeadline:
@@ -353,24 +384,6 @@ class TestServeBenchPartnerFlags:
         assert not (tmp_path / "report.json").exists()
 
 
-    def test_report_out_with_mutate_every_is_refused(self, tmp_path, monkeypatch):
-        # a live-mutation journal replays only on the catalogs it was
-        # served on, so --report-out is refused before anything is served
-        monkeypatch.chdir(tmp_path)
-        code, text = run_cli(
-            "--candidates", "3", "serve-bench", "--workers", "1",
-            "--requests", "8", "--distinct", "3", "--mutate-every", "1",
-            "--journal", "J", "--report-out", "R",
-        )
-        assert code == 2
-        assert text.startswith(
-            "error: --report-out cannot score a --mutate-every run"
-        )
-        assert len(text.strip().splitlines()) == 1
-        assert not (tmp_path / "J").exists()
-        assert not (tmp_path / "R").exists()
-
-
 @pytest.fixture(scope="module")
 def plain_journal(tmp_path_factory):
     path = tmp_path_factory.mktemp("plain") / "serve.jsonl"
@@ -585,6 +598,114 @@ class TestRecover:
         assert text.startswith("error: ")
         assert "fsck" in text  # points the operator at the repair tool
         assert len(text.strip().splitlines()) == 1  # no traceback
+
+    def test_recover_seals_the_finished_journal(self, plain_journal, tmp_path):
+        killed = cut_after_commits(plain_journal, tmp_path / "killed.jsonl", 2)
+        code, _ = run_cli("recover", "--journal", str(killed))
+        assert code == 0
+        code, text = run_cli("fsck", "--journal", str(killed))
+        assert code == 0
+        assert "4 committed, sealed" in text
+
+
+class TestOneFinish:
+    def test_report_out_equals_recover_of_a_run_whose_engine_refused(
+        self, tmp_path, monkeypatch
+    ):
+        """Both finish the refused requests on the recorded stack, under
+        the spec's deadline (tight enough to truncate every request the
+        same way, whatever the wall clock reads)."""
+        admit = AdmissionController.admit
+
+        def admit_two(self, block=False, timeout=None):
+            self.test_admits = getattr(self, "test_admits", 0) + 1
+            if self.test_admits > 2:
+                raise QueueFullError("request shed")
+            return admit(self, block=block, timeout=timeout)
+
+        monkeypatch.setattr(AdmissionController, "admit", admit_two)
+        argv = (
+            "--candidates", "3", "serve-bench", "--workers", "1",
+            "--requests", "8", "--distinct", "4", "--deadline-ms", "0.001",
+        )
+        served = tmp_path / "served.json"
+        code, text = run_cli(
+            *argv, "--journal", str(tmp_path / "a.jsonl"),
+            "--report-out", str(served),
+        )
+        assert code == 0
+        assert "served   : 2/8" in text
+        code, _ = run_cli(*argv, "--journal", str(tmp_path / "b.jsonl"))
+        assert code == 0
+        recovered = tmp_path / "recovered.json"
+        code, text = run_cli(
+            "recover", "--journal", str(tmp_path / "b.jsonl"),
+            "--report-out", str(recovered),
+        )
+        assert code == 0
+        assert "journal  : 2 committed, 0 pending, 6 to finish" in text
+        assert served.read_bytes() == recovered.read_bytes()
+
+
+#: the live-mutation run CI's drift job serves
+LIVE_RUN = (
+    "--candidates", "3", "serve-bench", "--workers", "1",
+    "--requests", "8", "--distinct", "3", "--mutate-every", "1",
+)
+
+
+@pytest.fixture(scope="module")
+def live_run(tmp_path_factory):
+    """An uninterrupted live-mutation run's (journal, report)."""
+    root = tmp_path_factory.mktemp("live")
+    journal, report = root / "full.jsonl", root / "full.json"
+    code, text = run_cli(
+        *LIVE_RUN, "--journal", str(journal), "--report-out", str(report)
+    )
+    assert code == 0
+    assert "stale_served=0" in text
+    return journal, report
+
+
+class TestLiveMutationRecover:
+    def test_killed_run_recovers_to_the_uninterrupted_report(
+        self, live_run, tmp_path
+    ):
+        journal, report = live_run
+        killed = cut_after_commits(journal, tmp_path / "killed.jsonl", 3)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        code, text = run_cli(
+            "recover", "--journal", str(killed), "--report-out", str(first)
+        )
+        assert code == 0
+        assert "journal  : 3 committed, 0 pending, 5 to finish" in text
+        assert "not certifiable" not in text
+        code, text = run_cli(
+            "recover", "--journal", str(killed), "--report-out", str(second)
+        )
+        assert code == 0
+        assert "8 committed, 0 pending, 0 to finish" in text
+        assert first.read_bytes() == report.read_bytes()
+        assert second.read_bytes() == report.read_bytes()
+
+    def test_an_edited_stamp_is_refused_before_anything_runs(
+        self, live_run, tmp_path
+    ):
+        journal, _ = live_run
+        killed = cut_after_commits(journal, tmp_path / "killed.jsonl", 3)
+        lines = killed.read_text().splitlines()
+        last = len(lines) - 1  # the third commit, stamped after two mutations
+
+        def bump(record):
+            record["schema_epoch"] += 1
+
+        edited = rewrite_record(killed, tmp_path / "edited.jsonl", last, bump)
+        before = edited.read_bytes()
+        code, text = run_cli("recover", "--journal", str(edited))
+        assert code == 2
+        assert text.startswith("error: cross-epoch replay refused")
+        assert len(text.strip().splitlines()) == 1
+        assert edited.read_bytes() == before
 
 
 class TestFsck:
