@@ -5,7 +5,8 @@ robustness contract.  A routed serving run is interleaved with seeded
 catalog mutations (value churn, added/dropped columns, renamed tables)
 at request boundaries — after each mutation the engine's caches are
 invalidated and the crash-safe :class:`~repro.livedata.reindex.
-ReindexWorker` re-embeds the mutated database's artifacts — then
+ReindexWorker` rebuilds the mutated database's indexes with the startup
+preprocessor — then
 simulated SIGKILLs are enumerated at every reindex-checkpoint append
 boundary (:func:`~repro.livedata.driftfuzz.run_drift_fuzz`).  The
 certification asserts, for the whole campaign:

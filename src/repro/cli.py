@@ -657,7 +657,6 @@ def _cmd_serve_bench(args, out) -> int:
             f"{sum(r.vectors for r in reindexer.reports)} vectors, "
             f"catchup {reindexer.total_catchup_seconds:.3f}s (virtual)\n"
         )
-        reindexer.close()
     if spec.routing and not args.shards:
         out.write(f"routing  : {stack.pipeline.routing_stats()}\n")
     _write_fault_counts(stack, out)

@@ -119,26 +119,6 @@ class FewShotLibrary:
         vector = self.vectorizer.embed(entry.masked_question)
         self._index.add(entry.example.question_id, vector, payload=entry)
 
-    def reindex_db(self, db_id: str) -> int:
-        """Re-embed every entry belonging to ``db_id`` in place.
-
-        The live-mutation reindex path: after a database's content
-        changes, its train shots are removed from the vector index
-        (:meth:`VectorIndex.remove`) and re-added with freshly computed
-        embeddings — entries from other databases are untouched, so the
-        cost is proportional to the mutated database's share of the
-        library.  Returns the number of entries re-embedded.
-        """
-        count = 0
-        for question_id, entry in sorted(self._entries.items()):
-            if entry.example.db_id != db_id:
-                continue
-            self._index.remove(question_id)
-            vector = self.vectorizer.embed(entry.masked_question)
-            self._index.add(question_id, vector, payload=entry)
-            count += 1
-        return count
-
     def search(
         self,
         question: str,

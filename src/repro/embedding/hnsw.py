@@ -57,13 +57,9 @@ class HNSWIndex:
         self._links: list[list[list[int]]] = []
         self._entry_point: Optional[int] = None
         self._max_level = -1
-        # Tombstoned node ids: removed entries stay in the graph (their
-        # links keep the small world navigable) but are filtered from
-        # results.  Incremental reindexing removes and re-adds keys.
-        self._deleted: set[int] = set()
 
     def __len__(self) -> int:
-        return len(self._keys) - len(self._deleted)
+        return len(self._keys)
 
     # ----------------------------------------------------------- helpers
 
@@ -172,18 +168,9 @@ class HNSWIndex:
             self._max_level = level
             self._entry_point = node
 
-    def remove(self, key: str) -> int:
-        """Tombstone every node stored under ``key``; returns the number
-        removed.  The nodes stay in the graph as routing waypoints (so
-        neighbour lists never dangle) but no longer appear in results;
-        ``__len__`` counts live entries only."""
-        victims = [
-            node
-            for node, stored in enumerate(self._keys)
-            if stored == key and node not in self._deleted
-        ]
-        self._deleted.update(victims)
-        return len(victims)
+    def keys(self) -> list[str]:
+        """Every stored key, in insertion order."""
+        return list(self._keys)
 
     def search(self, query: np.ndarray, k: int = 10) -> list[SearchHit]:
         """Return approximately the top-``k`` hits by cosine similarity."""
@@ -205,14 +192,8 @@ class HNSWIndex:
                         entry = neighbor
                         improved = True
 
-        # Tombstones are traversed but not returned; widen ef so k live
-        # results can still surface past the dead ones.
-        ef = max(self.ef_search, k) + len(self._deleted)
-        results = self._search_layer(unit, entry, ef, 0)
-        ordered = sorted(
-            (pair for pair in results if pair[1] not in self._deleted),
-            key=lambda pair: -pair[0],
-        )[:k]
+        results = self._search_layer(unit, entry, max(self.ef_search, k), 0)
+        ordered = sorted(results, key=lambda pair: -pair[0])[:k]
         return [
             SearchHit(key=self._keys[node], payload=self._payloads[node], score=sim)
             for sim, node in ordered

@@ -35,7 +35,7 @@ class VectorIndex(Protocol):
     def search(self, query: np.ndarray, k: int = 10) -> list[SearchHit]:
         ...
 
-    def remove(self, key: str) -> int:
+    def keys(self) -> list[str]:
         ...
 
     def __len__(self) -> int:
@@ -73,18 +73,9 @@ class FlatIndex:
         self._rows.append(unit.astype(np.float32))
         self._matrix = None  # invalidate cache
 
-    def remove(self, key: str) -> int:
-        """Drop every vector stored under ``key``; returns the number
-        removed.  Incremental reindexing (live-mutation path) deletes a
-        stale entry before re-adding its re-embedded replacement."""
-        victims = [i for i, stored in enumerate(self._keys) if stored == key]
-        for i in reversed(victims):
-            del self._keys[i]
-            del self._payloads[i]
-            del self._rows[i]
-        if victims:
-            self._matrix = None  # invalidate cache
-        return len(victims)
+    def keys(self) -> list[str]:
+        """Every stored key, in insertion order."""
+        return list(self._keys)
 
     def search(self, query: np.ndarray, k: int = 10) -> list[SearchHit]:
         """Return the top-``k`` hits by cosine similarity, best first."""

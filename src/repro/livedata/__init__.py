@@ -1,5 +1,5 @@
-"""Live-mutation robustness: epoch-versioned catalogs, background
-reindexing, stale-serve detection and the drift-chaos certifier.
+"""Live-mutation robustness: epoch-versioned catalogs, reindexing,
+stale-serve detection and the drift-chaos certifier.
 
 Submodules are imported lazily (PEP 562): :mod:`repro.livedata.errors`
 is imported by the serving engine and the journal, which this package's

@@ -10,24 +10,16 @@ simple integer comparison rather than a content diff.
 from __future__ import annotations
 
 import threading
-from typing import Callable
 
 __all__ = ["EpochRegistry"]
 
 
 class EpochRegistry:
-    """Thread-safe monotone ``schema_epoch`` counter per ``db_id``.
-
-    Listeners (``fn(db_id, epoch)``) fire on every bump — the reindex
-    worker enqueues catch-up work from one, the serving harness
-    invalidates cache tiers from another.  Listeners run outside the
-    registry lock in registration order, on the bumping thread.
-    """
+    """Thread-safe monotone ``schema_epoch`` counter per ``db_id``."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._epochs: dict[str, int] = {}
-        self._listeners: list[Callable[[str, int], None]] = []
 
     def epoch(self, db_id: str) -> int:
         """Current ``schema_epoch`` of ``db_id`` (0 when never mutated)."""
@@ -39,41 +31,4 @@ class EpochRegistry:
         with self._lock:
             epoch = self._epochs.get(db_id, 0) + 1
             self._epochs[db_id] = epoch
-            listeners = list(self._listeners)
-        for listener in listeners:
-            listener(db_id, epoch)
         return epoch
-
-    def advance(self, db_id: str, epoch: int) -> int:
-        """Move ``db_id`` to at least ``epoch``; returns the new epoch.
-
-        The cross-process path: a cluster worker receiving an
-        ``invalidate`` broadcast adopts the coordinator's epoch number
-        instead of re-counting bumps locally.  Monotone — a stale or
-        reordered broadcast (``epoch`` at or below the current value)
-        is a no-op and fires no listeners.
-        """
-        with self._lock:
-            current = self._epochs.get(db_id, 0)
-            if epoch <= current:
-                return current
-            self._epochs[db_id] = epoch
-            listeners = list(self._listeners)
-        for listener in listeners:
-            listener(db_id, epoch)
-        return epoch
-
-    def add_listener(self, listener: Callable[[str, int], None]) -> None:
-        """Subscribe to future bumps."""
-        with self._lock:
-            self._listeners.append(listener)
-
-    def snapshot(self) -> dict[str, int]:
-        """JSON-ready ``{db_id: epoch}`` for every db that ever bumped."""
-        with self._lock:
-            return dict(sorted(self._epochs.items()))
-
-    def mutated_dbs(self) -> list[str]:
-        """Databases with a non-zero epoch, sorted."""
-        with self._lock:
-            return sorted(db for db, epoch in self._epochs.items() if epoch)

@@ -1,19 +1,22 @@
-"""Crash-safe background reindexing for mutated databases.
+"""Crash-safe reindexing for mutated databases.
 
 When a :class:`~repro.livedata.mutations.MutationDriver` moves a
 database to a new ``schema_epoch``, the serving pipeline's preprocessing
-artifacts — the value/column vector indexes, the schema prompt, the
-few-shot library's embeddings — describe a world that no longer exists.
-:class:`ReindexWorker` re-derives them, one mutated database at a time,
-with the durability discipline of the serving journal:
+artifacts for it — the value/column vector indexes and the schema
+prompt — describe a world that no longer exists.  :class:`ReindexWorker`
+re-derives them by running the startup preprocessor again
+(:meth:`~repro.core.preprocessing.Preprocessor.preprocess_database`), so
+a reindexed database's artifacts equal a fresh build of its current
+contents.  The few-shot library is a function of the train split alone,
+which no mutation touches, so it is never reindexed.  The work is
+recorded with the durability discipline of the serving journal:
 
-* **Checkpointed progress.**  Every completed unit of work (the schema/
-  column pass, each table's value pass, the few-shot re-embed) appends a
-  CRC-framed v2 record through the journal's writer
-  (:class:`repro.storage.format.AppendLog`), which opens the file through
-  the same ``opener`` seam — so the storage chaos layer
-  (:class:`~repro.storage.faults.FaultyStorage`) can torture the write
-  path — and every record is fsynced before the worker moves on.
+* **Checkpointed progress.**  Every unit of work (the schema/column
+  pass, each table's value pass) appends a CRC-framed v2 record through
+  the journal's writer (:class:`repro.storage.format.AppendLog`), which
+  opens the file through the same ``opener`` seam — so the storage chaos
+  layer (:class:`~repro.storage.faults.FaultyStorage`) can torture the
+  write path — and every record is fsynced before the next.
 * **Resumable after SIGKILL.**  On restart the worker scans the
   checkpoint (torn tails truncated, interior damage refused), recomputes
   every unit *in memory* — the process that died took its indexes with
@@ -25,26 +28,21 @@ with the durability discipline of the serving journal:
 * **Zero double-reindexes.**  A ``done`` record is unique per
   ``(db_id, epoch)``; asking for an epoch that already completed raises
   :class:`DoubleReindexError` instead of burning a second pass.
-* **Degraded, not dead.**  In background mode the worker consumes epoch
-  bumps from a queue; a reindex failure is recorded against the
-  ``reindex`` :class:`~repro.serving.health.HealthMonitor` component and
-  surfaced through the ``reindexer`` probe (queue depth, liveness, last
-  error) so a coordinator sees a wedged reindexer as a degraded worker,
-  never a dead one.
 
-Catch-up time is **virtual**: ``vectors re-embedded × seconds_per_
-vector``, mirroring the repo's virtual-clock convention so the
-``reindex_catchup_seconds`` gate metric is bit-reproducible.
+Catch-up time is **virtual**: vectors re-embedded ×
+:data:`SECONDS_PER_VECTOR`, mirroring the repo's virtual-clock
+convention so the ``reindex_catchup_seconds`` gate metric is
+bit-reproducible.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Union
 
+from repro.core.preprocessing import Preprocessor
 from repro.hashing import stable_hash
 from repro.livedata.errors import LiveDataError
 from repro.storage.format import JOURNAL_VERSION, AppendLog, JournalCorruptionError
@@ -169,42 +167,23 @@ class ReindexWorker:
         opener: Optional[Callable] = None,
         registry=None,
         health=None,
-        seconds_per_vector: float = SECONDS_PER_VECTOR,
     ):
         self.pipeline = pipeline
         self.registry = registry
         self.health = health
-        self.seconds_per_vector = seconds_per_vector
         self.checkpoint = ReindexCheckpoint(checkpoint_path, opener=opener)
         self._lock = threading.Lock()
         self.reports: list[ReindexReport] = []
         self.total_catchup_seconds = 0.0
-        self.last_error: Optional[str] = None
-        self._queue: "queue.Queue[Optional[tuple[str, int]]]" = queue.Queue()
-        self._thread: Optional[threading.Thread] = None
         if health is not None:
             health.register_probe("reindexer", self.probe)
 
-    # ------------------------------------------------------------- probing
-
     def probe(self) -> dict:
-        """HealthMonitor probe: queue depth, liveness, accounting.
-
-        A coordinator reading ``pending > 0`` with ``alive: False`` sees
-        a wedged reindexer — degraded (stale artifacts keep serving
-        behind the epoch guard) rather than dead.
-        """
-        payload = {
-            "pending": self._queue.qsize(),
-            "alive": self._thread.is_alive() if self._thread else False,
+        """HealthMonitor probe: completed reindexes and their catch-up."""
+        return {
             "completed": len(self.reports),
             "catchup_seconds": round(self.total_catchup_seconds, 6),
         }
-        if self.last_error:
-            payload["last_error"] = self.last_error
-        return payload
-
-    # ---------------------------------------------------------- foreground
 
     def reindex(self, db_id: str, epoch: Optional[int] = None) -> ReindexReport:
         """Bring one database's artifacts up to ``epoch``.
@@ -231,7 +210,7 @@ class ReindexWorker:
             raise DoubleReindexError(db_id, epoch)
         built = self.pipeline.benchmark.databases[db_id]
         tables = sorted(t.name for t in built.schema.tables)
-        units = ["schema"] + [f"values:{t}" for t in tables] + ["fewshot"]
+        units = ["schema"] + [f"values:{t}" for t in tables]
         report = ReindexReport(db_id=db_id, epoch=epoch, units=units)
         if self.checkpoint.log.rec == 0:
             self.checkpoint.append(
@@ -243,11 +222,20 @@ class ReindexWorker:
                 {"type": "start", "db_id": db_id, "epoch": epoch, "units": units}
             )
             self.checkpoint.started.add((db_id, epoch))
-        pre = self._rebuild_units(db_id, epoch, built, tables, report)
+        pipeline = self.pipeline
+        pre = Preprocessor(
+            pipeline.llm, pipeline.config, pipeline.vectorizer
+        ).preprocess_database(built)
+        values: dict[str, list[str]] = {name: [] for name in tables}
+        for key in pre.value_index.keys():
+            values[key.split(".", 1)[0]].append(key)
+        self._finish_unit(db_id, epoch, "schema", pre.column_index.keys(), report)
+        for name in tables:
+            self._finish_unit(db_id, epoch, f"values:{name}", values[name], report)
         # The swap is atomic from the serving path's point of view: the
         # old artifacts answer every request until the new object lands.
-        self.pipeline.databases[db_id] = pre
-        report.catchup_seconds = report.vectors * self.seconds_per_vector
+        pipeline.databases[db_id] = pre
+        report.catchup_seconds = report.vectors * SECONDS_PER_VECTOR
         self.checkpoint.append(
             {
                 "type": "done",
@@ -262,83 +250,9 @@ class ReindexWorker:
         self.total_catchup_seconds += report.catchup_seconds
         return report
 
-    def _rebuild_units(self, db_id, epoch, built, tables, report):
-        from repro.core.preprocessing import PreprocessedDatabase, ValueEntry
-        from repro.schema.serialize import schema_to_prompt
-
-        vectorizer = self.pipeline.vectorizer
-        config = self.pipeline.config
-        if config.vector_index == "hnsw":
-            from repro.embedding.hnsw import HNSWIndex
-
-            value_index = HNSWIndex(vectorizer.dimensions, seed=config.seed)
-            column_index = HNSWIndex(vectorizer.dimensions, seed=config.seed)
-        else:
-            from repro.embedding.index import FlatIndex
-
-            value_index = FlatIndex(vectorizer.dimensions)
-            column_index = FlatIndex(vectorizer.dimensions)
-
-        # -- unit: schema (column index + prompt) -------------------------
-        keys: list[str] = []
-        for table in built.schema.tables:
-            for column in table.columns:
-                key = f"{table.name}.{column.name}"
-                doc = f"{table.name} {column.name} {column.description}"
-                column_index.add(
-                    key, vectorizer.embed(doc), payload=(table.name, column.name)
-                )
-                keys.append(key)
-        self._finish_unit(db_id, epoch, "schema", len(keys), _digest(keys), report)
-
-        # -- units: values per table --------------------------------------
-        value_count = 0
-        cursor = built.connection.cursor()
-        schema_tables = {t.name: t for t in built.schema.tables}
-        for name in tables:
-            table = schema_tables[name]
-            keys = []
-            for column in table.columns:
-                if not column.is_text:
-                    continue
-                cursor.execute(
-                    f'SELECT DISTINCT "{column.name}" FROM "{table.name}" '
-                    f'WHERE "{column.name}" IS NOT NULL'
-                )
-                for (value,) in cursor.fetchall():
-                    text = str(value)
-                    key = f"{table.name}.{column.name}={text}"
-                    value_index.add(
-                        key,
-                        vectorizer.embed(text),
-                        payload=ValueEntry(table.name, column.name, text),
-                    )
-                    keys.append(key)
-            value_count += len(keys)
-            self._finish_unit(
-                db_id, epoch, f"values:{name}", len(keys), _digest(keys), report
-            )
-
-        # -- unit: few-shot re-embed --------------------------------------
-        library = getattr(self.pipeline, "library", None)
-        reembedded = (
-            library.reindex_db(db_id) if library is not None else 0
-        )
-        self._finish_unit(
-            db_id, epoch, "fewshot", reembedded,
-            _digest([f"fewshot:{db_id}:{reembedded}"]), report,
-        )
-
-        return PreprocessedDatabase(
-            schema=built.schema,
-            value_index=value_index,
-            column_index=column_index,
-            schema_prompt=schema_to_prompt(built.schema),
-            value_count=value_count,
-        )
-
-    def _finish_unit(self, db_id, epoch, unit, vectors, digest, report) -> None:
-        report.vectors += vectors
+    def _finish_unit(self, db_id, epoch, unit, keys, report) -> None:
+        report.vectors += len(keys)
+        digest = _digest(keys)
         recorded = self.checkpoint.units.get((db_id, epoch, unit))
         if recorded is not None:
             # The crash lost the in-memory work but not the record: the
@@ -357,63 +271,11 @@ class ReindexWorker:
             "db_id": db_id,
             "epoch": epoch,
             "unit": unit,
-            "vectors": vectors,
+            "vectors": len(keys),
             "digest": digest,
         }
         self.checkpoint.append(record)
         self.checkpoint.units[(db_id, epoch, unit)] = record
 
-    # ---------------------------------------------------------- background
-
-    def enqueue(self, db_id: str, epoch: int) -> None:
-        """Queue one epoch bump for the background thread."""
-        self._queue.put((db_id, epoch))
-
-    def watch(self, registry) -> None:
-        """Subscribe to a registry: every bump enqueues a reindex."""
-        registry.add_listener(self.enqueue)
-
-    def start(self) -> "ReindexWorker":
-        """Run the queue consumer on a daemon thread (degraded-not-dead:
-        a failing reindex is recorded against health and the loop keeps
-        draining)."""
-        if self._thread is not None and self._thread.is_alive():
-            return self
-        self._thread = threading.Thread(
-            target=self._run, name="reindexer", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self, timeout: float = 10.0) -> None:
-        if self._thread is None:
-            return
-        self._queue.put(None)
-        self._thread.join(timeout=timeout)
-
-    def drain(self) -> None:
-        """Block until every queued bump has been processed."""
-        self._queue.join()
-
-    def _run(self) -> None:
-        while True:
-            item = self._queue.get()
-            try:
-                if item is None:
-                    return
-                db_id, epoch = item
-                try:
-                    self.reindex(db_id, epoch=epoch)
-                except DoubleReindexError:
-                    # a restart may replay a bump the checkpoint already
-                    # carries; that is the resume path, not a failure
-                    pass
-                except Exception as exc:
-                    self.last_error = f"{type(exc).__name__}: {exc}"
-                    if self.health is not None:
-                        self.health.record("reindex", False, detail=self.last_error)
-            finally:
-                self._queue.task_done()
-
     def close(self) -> None:
-        self.stop()
+        """Nothing to release: every record is fsynced as it is written."""

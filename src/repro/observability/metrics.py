@@ -207,19 +207,6 @@ class _HistogramSeries:
                 "buckets": cumulative,
             }
 
-    def restore(self, payload: dict) -> None:
-        """Load state from a :meth:`value` dict (snapshot round-trip)."""
-        cumulative = payload.get("buckets", {})
-        with self._lock:
-            running = 0
-            for index, bound in enumerate(self._buckets):
-                total = int(cumulative.get(str(bound), running))
-                self._counts[index] = total - running
-                running = total
-            self._counts[-1] = int(cumulative.get("+Inf", running)) - running
-            self._count = int(payload.get("count", 0))
-            self._sum = float(payload.get("sum", 0.0))
-
 
 class Histogram(_Instrument):
     """Distribution with cumulative buckets (service seconds, tokens)."""
@@ -329,72 +316,6 @@ class MetricsRegistry:
         for instrument in instruments:
             with instrument._lock:
                 instrument._series.clear()
-
-    # ------------------------------------------------------------ round-trip
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "MetricsRegistry":
-        """Rebuild a registry from a :meth:`snapshot` dict.
-
-        The inverse of :meth:`snapshot` for JSON-serialized state: the
-        shard coordinator ships worker snapshots across process
-        boundaries as plain JSON and rehydrates them here.  Instruments
-        come back live (counters at their counts, histograms with their
-        bucket fill); collectors come back as static samplers returning
-        the flattened capture — ``from_snapshot(s).snapshot() == s``
-        because flattening a flat dict is the identity.
-
-        Label strings must not contain ``,`` or ``=`` in their *values*
-        (the registry's bounded-cardinality naming scheme never does).
-        """
-        registry = cls()
-        for name, payload in snapshot.get("metrics", {}).items():
-            kind = payload.get("type")
-            samples = payload.get("samples", {})
-            labelnames: tuple = ()
-            for label in samples:
-                if label != "_":
-                    labelnames = tuple(
-                        part.split("=", 1)[0] for part in label.split(",")
-                    )
-                    break
-            # Instruments with no samples yet must still come back
-            # registered (they snapshot as empty either way).
-            if kind == "counter":
-                registry.counter(name, labelnames=labelnames)
-            elif kind == "gauge":
-                registry.gauge(name, labelnames=labelnames)
-            elif kind == "histogram" and not samples:
-                registry.histogram(name, labelnames=labelnames)
-            for label, value in samples.items():
-                labels = (
-                    {}
-                    if label == "_"
-                    else dict(part.split("=", 1) for part in label.split(","))
-                )
-                if kind == "counter":
-                    registry.counter(name, labelnames=labelnames).labels(
-                        **labels
-                    ).inc(value)
-                elif kind == "gauge":
-                    registry.gauge(name, labelnames=labelnames).labels(
-                        **labels
-                    ).set(value)
-                elif kind == "histogram":
-                    bounds = [
-                        float(bound)
-                        for bound in value.get("buckets", {})
-                        if bound != "+Inf"
-                    ]
-                    instrument = registry.histogram(
-                        name,
-                        labelnames=labelnames,
-                        buckets=bounds or DEFAULT_BUCKETS,
-                    )
-                    instrument.labels(**labels).restore(value)
-        for name, flat in snapshot.get("collected", {}).items():
-            registry.register_collector(name, lambda flat=flat: flat)
-        return registry
 
     # --------------------------------------------------------------- export
 

@@ -70,17 +70,6 @@ class ClusterConfig:
     #: (:class:`repro.storage.StorageFaultPlan` fields, plus an optional
     #: ``seed``); empty dict = real, fault-free filesystem
     storage: dict = field(default_factory=dict)
-    #: live-mutation support: each worker attaches an epoch-versioned
-    #: catalog (:class:`~repro.livedata.epoch.EpochRegistry`) so commit
-    #: records carry ``schema_epoch`` stamps and ``invalidate``
-    #: broadcasts from the coordinator drop + re-pin cached state
-    livedata: bool = False
-    #: starting ``{db_id: schema_epoch}`` snapshot workers adopt on
-    #: spawn (a cluster resumed after mutations must not restart its
-    #: epoch counters at 0 — commit stamps would lie); journaled in
-    #: every segment header so ``repro recover`` sees the catalog
-    #: generation the run was serving
-    schema_epochs: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.shards < 1:
@@ -98,8 +87,6 @@ class ClusterConfig:
         spec plus the placement keys."""
         header = self.spec.to_header()
         header.update(shards=self.shards, ring_vnodes=self.ring_vnodes, shard=shard)
-        if self.livedata:
-            header.update(livedata=True, schema_epochs=dict(self.schema_epochs))
         return header
 
     def to_dict(self) -> dict:

@@ -23,9 +23,9 @@ supervises the fleet:
   removed from the ring, survivors adopt its segment's committed results
   into their caches, and its uncommitted requests retry on their new
   owners; with no owners left the error escapes to the caller;
-* **snapshot merge** — workers ship JSON health/metrics/serving
-  snapshots (never pickled live objects); the coordinator labels them by
-  shard and folds them into one :class:`MetricsRegistry` view.
+* **snapshot merge** — each worker ships its engine's metrics snapshot
+  as JSON (never pickled live objects); the coordinator labels it by
+  shard and folds it into one :class:`MetricsRegistry` view.
 
 The coordinator's own counts (requests by terminal status, supervision
 events) have one home, the registry the coordinator owns
@@ -398,11 +398,6 @@ class ShardCoordinator:
             with self._lock:
                 handle.final_stats = message
             return
-        if kind == "invalidated":
-            # a worker finished dropping its caches for a broadcast
-            # invalidation; counted so tests can await full propagation
-            self._m_events.labels(event="invalidate_ack").inc()
-            return
         # "adopted" and anything unknown: informational only
 
     # ---------------------------------------------------------- supervision
@@ -516,38 +511,6 @@ class ShardCoordinator:
             handle = self._workers[worker_id]
         self._kill_process(handle)
 
-    def broadcast_invalidate(self, db_id: str, epoch: Optional[int] = None) -> int:
-        """Tell every live worker ``db_id``'s catalog moved to ``epoch``.
-
-        The cluster half of live-mutation robustness: a mutation observed
-        at the coordinator (or by an external DDL watcher) fans out to
-        all shards — not just ``db_id``'s ring owner, because adopted
-        segments and rebalances mean any shard may hold cached state for
-        any database.  Each worker advances its epoch registry (monotone,
-        so replayed or reordered broadcasts are no-ops), drops every
-        cache tier keyed by the db, and acks with ``invalidated``.
-        Returns the number of workers the broadcast reached.
-        """
-        sent = 0
-        with self._lock:
-            self._m_events.labels(event="invalidate_broadcast").inc()
-            for handle in self._workers.values():
-                if handle.state in (DEAD, REMOVED):
-                    continue
-                try:
-                    with handle.send_lock:
-                        handle.conn.send(
-                            {"type": "invalidate", "db_id": db_id, "epoch": epoch}
-                        )
-                    sent += 1
-                except (OSError, ValueError):
-                    handle.conn_closed = True
-        return sent
-
-    def invalidations_acked(self) -> int:
-        """Workers that have acked an ``invalidate`` broadcast so far."""
-        return self._m_events.counts().get("invalidate_ack", 0)
-
     # ------------------------------------------------------------ reporting
 
     def stats(self) -> ClusterStats:
@@ -592,8 +555,6 @@ class ShardCoordinator:
                 "reroutes": events.get("reroute", 0),
                 "resolved_from_journal": events.get("resolved_from_journal", 0),
                 "storage_degraded": events.get("storage_degraded", 0),
-                "invalidations_broadcast": events.get("invalidate_broadcast", 0),
-                "invalidations_acked": events.get("invalidate_ack", 0),
             }
         )
 
@@ -610,25 +571,23 @@ class ShardCoordinator:
         """One shard-labelled registry merging every worker's snapshot.
 
         Cluster-level instruments/collectors live on the coordinator's
-        own registry; this adds each worker's shipped snapshot to it under
-        ``shard<K>.*`` collectors — the merged document ``repro metrics``
+        own registry; this adds each worker's shipped snapshot to it — each
+        collected section as ``shard<K>.<section>`` and each instrument as
+        ``shard<K>.metric.<name>`` — the merged document ``repro metrics``
         renders for the whole cluster.
         """
         registry = self.metrics
         for worker_id, payload in sorted(self.shard_snapshots().items()):
-            for section in ("serving", "health", "journal"):
-                data = payload.get(section)
-                if data is not None:
-                    registry.register_collector(
-                        f"shard{worker_id}.{section}", lambda d=data: d
-                    )
-            metrics_snapshot = payload.get("metrics")
-            if metrics_snapshot:
-                for name, instrument in metrics_snapshot.get("metrics", {}).items():
-                    registry.register_collector(
-                        f"shard{worker_id}.metric.{name}",
-                        lambda inst=instrument: inst.get("samples", {}),
-                    )
+            snapshot = payload["metrics"]
+            for section, flat in snapshot["collected"].items():
+                registry.register_collector(
+                    f"shard{worker_id}.{section}", lambda d=flat: d
+                )
+            for name, instrument in snapshot["metrics"].items():
+                registry.register_collector(
+                    f"shard{worker_id}.metric.{name}",
+                    lambda inst=instrument: inst.get("samples", {}),
+                )
         return registry
 
     # ------------------------------------------------------------- shutdown

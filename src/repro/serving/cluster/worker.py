@@ -16,9 +16,6 @@ coordinator → worker
     ``{"type": "request", "seq", "example", "deadline_seconds"}``
     ``{"type": "adopt", "segment": path}``   — warm cache from a dead
     peer's segment after a ring rebalance handed this worker its keys
-    ``{"type": "invalidate", "db_id", "epoch"}`` — the database mutated:
-    adopt the new ``schema_epoch`` (monotone) and drop every cache tier
-    keyed by it
     ``{"type": "shutdown"}``                 — drain, report, exit
 
 worker → coordinator
@@ -31,11 +28,9 @@ worker → coordinator
     shard's segment browned out (``journal_disabled``) or was
     quarantined corrupt on startup; the coordinator marks the worker
     degraded-not-dead and keeps routing to it
-    ``{"type": "invalidated", "worker", "db_id", "epoch", "dropped"}`` —
-    ack that the broadcast invalidation finished, with per-tier drop
-    counts
-    ``{"type": "stats", ...}``               — final shard-labelled
-    serving/health/metrics/journal snapshots, sent during shutdown
+    ``{"type": "stats", "worker": k, "metrics": snapshot}`` — the
+    engine's final metrics snapshot (its ``collected`` sections hold the
+    serving and journal stats), sent during shutdown
 
 Every response the worker sends is derived from its journal: a request's
 ``result`` message *is* the committed record, so anything the
@@ -157,19 +152,6 @@ def worker_main(worker_id: int, config_payload: dict, conn) -> None:
         )
     journal.write_header(config.header_config(worker_id))
     engine = stack.engine(workers=config.engine_workers, journal=journal)
-    registry = None
-    if config.livedata:
-        from repro.livedata.epoch import EpochRegistry
-
-        # The epoch-versioned catalog: commit records get schema_epoch
-        # stamps, cache keys become epoch-scoped, and the pre-execute
-        # guard turns catalog races into typed retries.  A resumed
-        # cluster adopts the coordinator's epoch snapshot — a worker
-        # restarting its counters at 0 would stamp lies.
-        registry = EpochRegistry()
-        for db_id, epoch in sorted(config.schema_epochs.items()):
-            registry.advance(db_id, int(epoch))
-        engine.attach_livedata(registry)
     warmed = warm_engine_from_segment(engine, journal, example_index)
     send({"type": "ready", "worker": worker_id, "warmed": warmed})
 
@@ -205,17 +187,6 @@ def worker_main(worker_id: int, config_payload: dict, conn) -> None:
 
         return callback
 
-    def _shutdown_payload() -> dict:
-        return {
-            "type": "stats",
-            "worker": worker_id,
-            "serving": engine.stats().to_dict(),
-            "health": engine.health.snapshot(),
-            "metrics": engine.metrics.snapshot(),
-            "journal": journal.stats_dict(),
-            "traces": [trace.structure() for trace in engine.traces()],
-        }
-
     try:
         while True:
             try:
@@ -243,26 +214,6 @@ def worker_main(worker_id: int, config_payload: dict, conn) -> None:
                     )
                     continue
                 future.add_done_callback(_respond(message["seq"]))
-            elif kind == "invalidate":
-                # Cluster-wide invalidation: the coordinator observed a
-                # database mutation and broadcasts the new epoch.  The
-                # local registry adopts it (monotone — replays no-op),
-                # then every cache tier keyed by the db is dropped; the
-                # next request re-derives against the new catalog.
-                db_id = message["db_id"]
-                epoch = message.get("epoch")
-                if registry is not None and epoch is not None:
-                    registry.advance(db_id, int(epoch))
-                dropped = engine.invalidate_db(db_id)
-                send(
-                    {
-                        "type": "invalidated",
-                        "worker": worker_id,
-                        "db_id": db_id,
-                        "epoch": epoch,
-                        "dropped": dropped,
-                    }
-                )
             elif kind == "adopt":
                 try:
                     adopted = ServingJournal(message["segment"])
@@ -283,7 +234,13 @@ def worker_main(worker_id: int, config_payload: dict, conn) -> None:
                 )
             elif kind == "shutdown":
                 engine.shutdown(drain=True)
-                send(_shutdown_payload())
+                send(
+                    {
+                        "type": "stats",
+                        "worker": worker_id,
+                        "metrics": engine.metrics.snapshot(),
+                    }
+                )
                 break
     finally:
         heartbeat.stop.set()

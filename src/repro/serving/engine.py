@@ -15,8 +15,10 @@ thread pool, and answered through three cache tiers:
 3. **fewshot** — Masked-Question retrieval results from the few-shot
    library, the hot inner loop of Generation.
 
-Every tier keeps hit/miss/eviction stats and supports per-database
-invalidation (``invalidate_db``) for when a database's content changes.
+Every tier keeps hit/miss/eviction stats.  The result and extraction
+tiers derive from a database's catalog and support per-database
+invalidation (``invalidate_db``) for when its content changes; the
+few-shot tier derives from the train split alone.
 
 Per-request latency is the **service time**: real wall seconds around the
 request plus the simulated model decode seconds its LLM calls reported.
@@ -143,30 +145,18 @@ class CachingFewShotLibrary:
     captures every argument that shapes the result.  The question is
     normalized like the result tier's key — retrieval embeds case-folded
     masked text, so variants differing only in trailing ``?`` spacing or
-    case retrieve identically and must share one entry.  ``add``
-    invalidates the whole tier (new entries can change any ranking).
-
-    The keys carry the *requesting* database, not the databases the
-    retrieved shots came from, so per-database invalidation keeps a
-    **db→keys side index**: every cached result is indexed under the
-    db of each shot it contains (plus the requester), and
-    :meth:`invalidate_db` drops exactly those keys — a mutated database
-    cannot keep serving as a stale neighbor while unrelated entries
-    survive.  When an :class:`~repro.livedata.epoch.EpochRegistry` is
-    attached, the requesting db's ``schema_epoch`` joins the key too.
+    case retrieve identically and must share one entry.  The library is a
+    function of the train split alone, so no catalog mutation touches
+    this tier; only ``add`` clears it (new entries can change any
+    ranking).
     """
 
     def __init__(self, inner, cache: LRUCache):
         self.inner = inner
         self.cache = cache
-        self.epochs: Optional[EpochRegistry] = None
-        self._db_keys: dict[str, set] = {}
-        self._keys_lock = threading.Lock()
 
     def search(self, question, surfaces=(), k=5, db_id=None):
-        key: tuple = (normalize_question(question), tuple(surfaces), k, db_id)
-        if self.epochs is not None and db_id is not None:
-            key = key + (self.epochs.epoch(db_id),)
+        key = (normalize_question(question), tuple(surfaces), k, db_id)
         hit = self.cache.get(key)
         if hit is not None:
             # Generation's stage span is ambient here; the event lands on it.
@@ -175,37 +165,11 @@ class CachingFewShotLibrary:
         add_event("fewshot_cache", outcome="miss")
         result = self.inner.search(question, surfaces=surfaces, k=k, db_id=db_id)
         self.cache.put(key, result)
-        self._index_key(key, result, db_id)
         return result
-
-    def _index_key(self, key, result, db_id) -> None:
-        """Record ``key`` under every database its result touches."""
-        dbs = set()
-        for entry in result:
-            example = getattr(entry, "example", None)
-            if example is not None and getattr(example, "db_id", None):
-                dbs.add(example.db_id)
-        if db_id is not None:
-            dbs.add(db_id)
-        with self._keys_lock:
-            for db in dbs:
-                self._db_keys.setdefault(db, set()).add(key)
-
-    def invalidate_db(self, db_id: str) -> int:
-        """Drop every cached result containing (or requested by) ``db_id``."""
-        with self._keys_lock:
-            victims = self._db_keys.pop(db_id, set())
-            for keys in self._db_keys.values():
-                keys -= victims
-        if not victims:
-            return 0
-        return self.cache.invalidate(lambda key: key in victims)
 
     def add(self, entry):
         self.inner.add(entry)
         self.cache.clear()
-        with self._keys_lock:
-            self._db_keys.clear()
 
     def __len__(self):
         return len(self.inner)
@@ -326,7 +290,7 @@ class ServingEngine:
         )
         self._m_invalidations = self.metrics.counter(
             "repro_livedata_invalidations_total",
-            "invalidate_db calls (every cache tier dropped for one database)",
+            "invalidate_db calls (catalog-derived tiers dropped for one database)",
         )
         if hasattr(pipeline, "routing_stats"):
             self.metrics.register_collector("routing", pipeline.routing_stats)
@@ -349,8 +313,9 @@ class ServingEngine:
 
         After this call:
 
-        * every cache tier's key carries the database's current
-          ``schema_epoch`` (mutations self-invalidate stale entries);
+        * the result and extraction tiers' keys carry the database's
+          current ``schema_epoch`` (mutations self-invalidate stale
+          entries);
         * journal commit records are stamped with the epoch the answer
           was produced under, so ``recover`` can refuse cross-epoch
           replay;
@@ -374,9 +339,6 @@ class ServingEngine:
         extractor = self.pipeline.extractor
         if isinstance(extractor, CachingExtractor):
             extractor.epochs = registry
-        library = self.pipeline.library
-        if isinstance(library, CachingFewShotLibrary):
-            library.epochs = registry
         if self.journal is not None:
             self.journal.epoch_provider = registry.epoch
         self._epoch_pins = pins = EpochPins()
@@ -724,26 +686,16 @@ class ServingEngine:
         return warmed
 
     def invalidate_db(self, db_id: str) -> dict[str, int]:
-        """Drop every cached entry derived from ``db_id`` in all tiers.
+        """Drop every cached entry derived from ``db_id``'s catalog.
 
         The result and extraction tiers key on ``(db_id, …)`` and
-        invalidate positionally.  The few-shot tier's keys carry the
-        question rather than the source databases, so the caching wrapper
-        maintains a db→keys side index and drops exactly the cached
-        retrievals that contain (or were requested by) the mutated
-        database — stale neighbors go, unrelated entries survive.  When
-        the pipeline's library is not the caching wrapper (side index
-        unavailable) the tier falls back to a wholesale clear.
+        invalidate positionally.  The few-shot tier is left alone: the
+        library is built from the train split, which no mutation touches.
         """
         dropped = {
             "result": self.result_cache.invalidate_db(db_id),
             "extraction": self.extraction_cache.invalidate_db(db_id),
         }
-        library = self.pipeline.library
-        if isinstance(library, CachingFewShotLibrary):
-            dropped["fewshot"] = library.invalidate_db(db_id)
-        else:
-            dropped["fewshot"] = self.fewshot_cache.invalidate(lambda _key: True)
         self._m_invalidations.inc()
         return dropped
 

@@ -95,46 +95,6 @@ class HealthMonitor:
             payload["last_failure"] = detail
         return payload
 
-    @classmethod
-    def from_snapshot(
-        cls,
-        snapshot: dict,
-        window: int = 64,
-        degraded_at: float = 0.1,
-        unhealthy_at: float = 0.5,
-    ) -> "HealthMonitor":
-        """Rebuild a monitor from a :meth:`snapshot` dict (JSON round-trip).
-
-        Component windows are replayed from their reported size and
-        failure rate — ``round(rate * window)`` recovers the exact
-        failure count for any window ≤ 64 at the 4-decimal rounding
-        :meth:`component_status` applies.  Probes come back as static
-        samplers returning the captured payload (state, not liveness).
-        Pass the original thresholds when they were non-default, or the
-        recomputed grades may differ from the captured ones.
-        """
-        components = snapshot.get("components", {})
-        widest = max(
-            [window, *(s.get("window", 1) for s in components.values())]
-        )
-        monitor = cls(
-            window=widest, degraded_at=degraded_at, unhealthy_at=unhealthy_at
-        )
-        for component, status in components.items():
-            size = int(status.get("window", 0))
-            failures = round(status.get("failure_rate", 0.0) * size)
-            detail = status.get("last_failure", "")
-            for _ in range(size - failures):
-                monitor.record(component, True)
-            for _ in range(failures):
-                monitor.record(component, False, detail=detail)
-            if detail and not failures:
-                # the failure slid out of the window but its detail stuck
-                monitor._last_failure[component] = detail
-        for name, payload in snapshot.get("probes", {}).items():
-            monitor.register_probe(name, lambda payload=payload: payload)
-        return monitor
-
     def component_grade(self, component: str) -> str:
         """One component's grade alone — ``"healthy"`` when unobserved.
 

@@ -36,8 +36,7 @@ class SpecError(ValueError):
 
 #: header keys beside the spec's: the routed tier mix (see
 #: :meth:`Stack.check_tier_mix`) and a cluster segment's placement keys
-_PLACEMENT_KEYS = ("tier_mix", "shards", "shard", "ring_vnodes", "livedata",
-                   "schema_epochs")
+_PLACEMENT_KEYS = ("tier_mix", "shards", "shard", "ring_vnodes")
 
 
 @dataclass(frozen=True)

@@ -86,37 +86,13 @@ class TestFlatIndex:
         assert hits[0].key == "RUNNING DEBT"
 
 
-class TestRemove:
-    def test_remove_returns_count_and_shrinks_len(self, index):
-        index.add("a", unit(1, 0, 0, 0, 0, 0, 0, 0))
+class TestKeys:
+    def test_keys_are_every_insert_in_order(self, index):
+        index.add("b", unit(1, 0, 0, 0, 0, 0, 0, 0))
         index.add("a", unit(0, 1, 0, 0, 0, 0, 0, 0))
         index.add("b", unit(0, 0, 1, 0, 0, 0, 0, 0))
-        assert index.remove("a") == 2
-        assert len(index) == 1
-        assert index.remove("a") == 0
-
-    def test_removed_key_never_surfaces(self, index):
-        index.add("a", unit(1, 0, 0, 0, 0, 0, 0, 0))
-        index.add("b", unit(0, 1, 0, 0, 0, 0, 0, 0))
-        index.remove("a")
-        hits = index.search(unit(1, 0, 0, 0, 0, 0, 0, 0), k=5)
-        assert [h.key for h in hits] == ["b"]
-
-    def test_remove_after_search_invalidates_the_matrix(self, index):
-        index.add("a", unit(1, 0, 0, 0, 0, 0, 0, 0))
-        index.add("b", unit(0, 1, 0, 0, 0, 0, 0, 0))
-        index.search(unit(1, 0, 0, 0, 0, 0, 0, 0))  # builds the cache
-        index.remove("a")
-        hits = index.search(unit(1, 0, 0, 0, 0, 0, 0, 0), k=5)
-        assert [h.key for h in hits] == ["b"]
-
-    def test_readd_after_remove(self, index):
-        """The reindex path: drop the stale entry, add its re-embedded
-        replacement under the same key."""
-        index.add("a", unit(1, 0, 0, 0, 0, 0, 0, 0), payload="old")
-        index.remove("a")
-        index.add("a", unit(0, 1, 0, 0, 0, 0, 0, 0), payload="new")
-        (hit,) = index.search(unit(0, 1, 0, 0, 0, 0, 0, 0), k=1)
-        assert hit.key == "a"
-        assert hit.payload == "new"
-        assert len(index) == 1
+        keys = index.keys()
+        assert keys == ["b", "a", "b"]
+        keys.append("c")  # a copy: the index is read, never changed
+        assert index.keys() == ["b", "a", "b"]
+        assert len(index) == 3

@@ -12,6 +12,7 @@ from repro.datasets.domains.hockey import DOMAIN as HOCKEY
 from repro.livedata.epoch import EpochRegistry
 from repro.livedata.errors import StaleCatalogError
 from repro.livedata.mutations import MutationDriver
+from repro.livedata.reindex import ReindexWorker
 from repro.llm.simulated import SimulatedLLM
 from repro.llm.skills import GPT_4O
 from repro.serving.engine import CachingFewShotLibrary, ServingEngine
@@ -200,29 +201,46 @@ class TestInvalidateDb:
         assert engine.stats().result_hits == 1
         assert engine.livedata_stats["invalidations"] == 1
 
-    def test_fewshot_side_index_drops_stale_neighbors(self, world):
-        """The few-shot tier keys carry questions, not source dbs; the
-        side index must still drop every cached retrieval containing a
-        shot from the mutated database."""
+    def test_fewshot_retrieval_survives_a_mutation(self, world, tmp_path):
+        """The few-shot library is a function of the train split, which no
+        mutation touches: after each database is mutated, reindexed and
+        invalidated, every dev question retrieves the same top-3 shot
+        objects, and the few-shot tier keeps every cached retrieval."""
         benchmark, pipeline = world
         engine, registry = live_engine(pipeline)
         library = engine.pipeline.library
         assert isinstance(library, CachingFewShotLibrary)
-        example = benchmark.dev[0]
-        shots = library.search(example.question, k=3, db_id=example.db_id)
-        assert shots
-        source_dbs = {entry.example.db_id for entry in shots}
-        # a repeat is a hit...
-        assert library.search(example.question, k=3, db_id=example.db_id) is shots
-        # ...until any db the result touches mutates
-        victim = sorted(source_dbs)[0]
-        dropped = library.invalidate_db(victim)
-        assert dropped >= 1
-        fresh = library.search(example.question, k=3, db_id=example.db_id)
-        assert fresh is not shots
-        # an unrelated database's invalidation leaves the new entry alone
-        assert library.invalidate_db("no-such-db") == 0
-        assert library.search(example.question, k=3, db_id=example.db_id) is fresh
+        driver = MutationDriver(benchmark, registry, seed=0)
+        worker = ReindexWorker(pipeline, tmp_path / "ck.jsonl", registry=registry)
+
+        def top3(search):
+            return {
+                example.question_id: search(
+                    example.question,
+                    surfaces=tuple(m.surface for m in example.value_mentions),
+                    k=3,
+                )
+                for example in benchmark.dev
+            }
+
+        cached = top3(library.search)
+        before = top3(library.inner.search)
+        entries = len(engine.fewshot_cache)
+        assert entries == len(benchmark.dev)
+        for db_id in sorted(benchmark.databases):
+            event = driver.mutate(db_id)
+            worker.reindex(event.db_id, epoch=event.epoch)
+            dropped = engine.invalidate_db(event.db_id)
+            after = top3(library.inner.search)
+            for question_id, shots in before.items():
+                assert len(after[question_id]) == len(shots) == 3
+                assert all(
+                    a is b for a, b in zip(after[question_id], shots)
+                ), f"{question_id} moved after mutating {db_id}"
+            assert len(engine.fewshot_cache) == entries
+            assert sorted(dropped) == ["extraction", "result"]
+        hits = top3(library.search)
+        assert all(hits[q] is cached[q] for q in cached)
         engine.shutdown()
 
     def test_mutation_driver_end_to_end_stays_stale_free(self, world):

@@ -13,40 +13,3 @@ class TestEpochRegistry:
         assert registry.bump("hockey") == 2
         assert registry.epoch("hockey") == 2
         assert registry.epoch("finance") == 0
-
-    def test_listeners_fire_on_bump_in_order(self):
-        registry = EpochRegistry()
-        seen = []
-        registry.add_listener(lambda db, e: seen.append(("a", db, e)))
-        registry.add_listener(lambda db, e: seen.append(("b", db, e)))
-        registry.bump("hockey")
-        assert seen == [("a", "hockey", 1), ("b", "hockey", 1)]
-
-    def test_advance_adopts_a_broadcast_epoch(self):
-        registry = EpochRegistry()
-        seen = []
-        registry.add_listener(lambda db, e: seen.append(e))
-        assert registry.advance("hockey", 3) == 3
-        assert registry.epoch("hockey") == 3
-        assert seen == [3]
-
-    def test_advance_is_monotone_stale_broadcasts_are_noops(self):
-        registry = EpochRegistry()
-        registry.advance("hockey", 3)
-        seen = []
-        registry.add_listener(lambda db, e: seen.append(e))
-        # a replayed or reordered broadcast must not regress the epoch
-        # and must not re-fire listeners
-        assert registry.advance("hockey", 3) == 3
-        assert registry.advance("hockey", 1) == 3
-        assert registry.epoch("hockey") == 3
-        assert seen == []
-        # bump continues from the adopted value
-        assert registry.bump("hockey") == 4
-
-    def test_snapshot_and_mutated_dbs(self):
-        registry = EpochRegistry()
-        registry.bump("music")
-        registry.advance("finance", 2)
-        assert registry.snapshot() == {"finance": 2, "music": 1}
-        assert registry.mutated_dbs() == ["finance", "music"]

@@ -85,7 +85,7 @@ class TestCrossEpochReplay:
             engine.answer(example)
         _, replay_pipeline = fresh_world()
         replay_registry = EpochRegistry()
-        replay_registry.advance(example.db_id, 1)
+        replay_registry.bump(example.db_id)
         replay_pipeline.epochs = replay_registry
         outcomes = recover_run(
             ServingJournal(tmp_path / "journal.jsonl"), replay_pipeline, [example]

@@ -1,15 +1,17 @@
 """ReindexWorker: checkpointed, SIGKILL-resumable, never-double catch-up."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import OpenSearchSQL
+from repro.core.preprocessing import Preprocessor
 from repro.datasets.build import build_benchmark
 from repro.datasets.domains.healthcare import DOMAIN as HEALTHCARE
 from repro.datasets.domains.hockey import DOMAIN as HOCKEY
 from repro.livedata.epoch import EpochRegistry
 from repro.livedata.errors import LiveDataError
-from repro.livedata.mutations import MutationDriver
+from repro.livedata.mutations import MUTATION_KINDS, MutationDriver
 from repro.livedata.reindex import DoubleReindexError, ReindexWorker
 from repro.llm.simulated import SimulatedLLM
 from repro.llm.skills import GPT_4O
@@ -48,7 +50,8 @@ class TestReindex:
         worker.close()
         assert report.epoch == event.epoch
         assert report.units[0] == "schema"
-        assert report.units[-1] == "fewshot"
+        tables = sorted(t.name for t in benchmark.databases[event.db_id].schema.tables)
+        assert report.units[-1] == f"values:{tables[-1]}"
         assert report.vectors > 0
         assert report.catchup_seconds == pytest.approx(report.vectors * 0.0005)
         assert pipeline.databases[event.db_id] is not before
@@ -157,19 +160,59 @@ class TestReindex:
             resumed.reindex(event.db_id, epoch=event.epoch)
         resumed.close()
 
-    def test_background_worker_drains_bumps_from_the_registry(
-        self, world, tmp_path
+
+def index_state(index):
+    """Keys in order, payloads and stored vectors of a flat index."""
+    return list(index._keys), list(index._payloads), np.stack(index._rows)
+
+
+class TestReindexMatchesFreshBuild:
+    """A database's artifacts are a function of its current contents: the
+    reindex path and the startup path build them with one function."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_reindexed_database_equals_a_fresh_preprocess(
+        self, world, tmp_path, seed
     ):
-        _, pipeline, registry, driver = world
+        benchmark, pipeline, registry, _ = world
+        driver = MutationDriver(benchmark, registry, seed=seed)
+        event = driver.mutate()
         worker = ReindexWorker(pipeline, tmp_path / "ck.jsonl", registry=registry)
-        worker.watch(registry)
-        worker.start()
-        events = [driver.mutate() for _ in range(3)]
-        worker.drain()
-        worker.close()
-        done = {(r.db_id, r.epoch) for r in worker.reports}
-        assert done == {(e.db_id, e.epoch) for e in events}
-        assert worker.last_error is None
-        probe = worker.probe()
-        assert probe["pending"] == 0
-        assert probe["completed"] == len(events)
+        worker.reindex(event.db_id)
+        reindexed = pipeline.databases[event.db_id]
+        fresh = Preprocessor(pipeline.llm, pipeline.config).preprocess_database(
+            benchmark.databases[event.db_id]
+        )
+        for name in ("value_index", "column_index"):
+            keys, payloads, vectors = index_state(getattr(reindexed, name))
+            want_keys, want_payloads, want_vectors = index_state(getattr(fresh, name))
+            assert keys == want_keys, f"{name} keys differ"
+            assert payloads == want_payloads
+            assert np.array_equal(vectors, want_vectors)
+        assert reindexed.schema_prompt == fresh.schema_prompt
+        assert reindexed.value_count == fresh.value_count
+
+    @pytest.mark.parametrize(
+        "seed, kinds",
+        [(0, ("value_churn",)), (0, MUTATION_KINDS),
+         (2, ("value_churn",)), (2, MUTATION_KINDS)],
+        ids=["seed0-churn", "seed0-all", "seed2-churn", "seed2-all"],
+    )
+    def test_reindexed_pipeline_answers_like_a_fresh_one(
+        self, world, tmp_path, seed, kinds
+    ):
+        benchmark, pipeline, registry, _ = world
+        driver = MutationDriver(benchmark, registry, seed=seed, kinds=kinds)
+        worker = ReindexWorker(pipeline, tmp_path / "ck.jsonl", registry=registry)
+        for _ in range(3):
+            event = driver.mutate()
+            worker.reindex(event.db_id, epoch=event.epoch)
+        fresh = OpenSearchSQL(
+            benchmark, SimulatedLLM(GPT_4O, seed=0), PipelineConfig(n_candidates=3)
+        )
+        for example in benchmark.dev:
+            got, want = pipeline.answer(example), fresh.answer(example)
+            assert got.final_sql == want.final_sql, example.question_id
+            assert got.cost.total_tokens == want.cost.total_tokens, (
+                example.question_id
+            )

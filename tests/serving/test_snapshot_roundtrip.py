@@ -1,140 +1,34 @@
 """Health and metrics snapshots must survive a JSON round-trip.
 
-The shard coordinator ships worker state across process boundaries as
-plain JSON — never pickled live objects — and rehydrates it with
-``HealthMonitor.from_snapshot`` / ``MetricsRegistry.from_snapshot``.
-These tests push every snapshot through ``json.dumps``/``loads`` (so a
-non-serializable field fails loudly, not just an unequal dict) and
-require the rebuilt object to re-snapshot identically.
+A shard worker ships its engine's metrics snapshot across the process
+boundary as plain JSON — never a pickled live object.  The test pushes
+each snapshot through ``json.dumps``/``loads`` (so a non-serializable
+field fails loudly, not just an unequal dict) and requires it to come
+back equal.
 """
 
 import json
 
 from repro.observability.metrics import MetricsRegistry
-from repro.serving import HealthMonitor, ServingEngine
+from repro.serving import ServingEngine
 
 
 def roundtrip(payload):
     return json.loads(json.dumps(payload))
 
 
-class TestHealthMonitorRoundTrip:
-    def test_empty_monitor(self):
-        monitor = HealthMonitor()
-        snap = monitor.snapshot()
-        assert HealthMonitor.from_snapshot(roundtrip(snap)).snapshot() == snap
-
-    def test_components_all_grades(self):
-        monitor = HealthMonitor(window=16, degraded_at=0.25, unhealthy_at=0.5)
-        for _ in range(10):
-            monitor.record("clean", True)
-        for i in range(8):
-            monitor.record("flaky", i % 3 != 0, detail="timeout")
-        for _ in range(6):
-            monitor.record("broken", False, detail="crash loop")
-        snap = monitor.snapshot()
-        rebuilt = HealthMonitor.from_snapshot(
-            roundtrip(snap), window=16, degraded_at=0.25, unhealthy_at=0.5
-        )
-        assert rebuilt.snapshot() == snap
-        assert rebuilt.component_grade("broken") == "unhealthy"
-
-    def test_failure_counts_exact_at_max_default_window(self):
-        # round(rate * window) must recover the exact count for every
-        # possible count at the 4-decimal rounding snapshot applies.
-        for failures in range(65):
-            monitor = HealthMonitor(window=64)
-            for i in range(64):
-                monitor.record("c", i >= failures, detail="boom")
-            snap = roundtrip(monitor.snapshot())
-            rebuilt = HealthMonitor.from_snapshot(snap)
-            assert rebuilt.snapshot() == snap, failures
-
-    def test_probes_become_static_samplers(self):
-        monitor = HealthMonitor()
-        monitor.record("pipeline", True)
-        monitor.register_probe("breaker", lambda: {"state": "closed"})
-        monitor.register_probe("flag", lambda: True)
-        snap = monitor.snapshot()
-        assert HealthMonitor.from_snapshot(roundtrip(snap)).snapshot() == snap
-
-    def test_detail_survives_after_window_slides_past_failure(self):
-        monitor = HealthMonitor(window=4)
-        monitor.record("c", False, detail="old crash")
-        for _ in range(4):
-            monitor.record("c", True)
-        snap = monitor.snapshot()
-        assert snap["components"]["c"]["last_failure"] == "old crash"
-        assert HealthMonitor.from_snapshot(roundtrip(snap)).snapshot() == snap
-
-
-class TestMetricsRegistryRoundTrip:
-    def test_empty_registry(self):
-        snap = MetricsRegistry().snapshot()
-        assert MetricsRegistry.from_snapshot(roundtrip(snap)).snapshot() == snap
-
-    def test_all_instrument_kinds(self):
-        registry = MetricsRegistry()
-        requests = registry.counter(
-            "repro_test_requests_total", "requests", labelnames=("status",)
-        )
-        requests.labels(status="ok").inc(7)
-        requests.labels(status="failed").inc(2)
-        registry.counter("repro_test_plain_total").inc(3)
-        registry.gauge("repro_test_depth").set(4.5)
-        seconds = registry.histogram(
-            "repro_test_seconds", buckets=(0.5, 1.0, 5.0)
-        )
-        for value in (0.1, 0.7, 0.7, 3.0, 99.0):
-            seconds.observe(value)
-        snap = registry.snapshot()
-        rebuilt = MetricsRegistry.from_snapshot(roundtrip(snap))
-        assert rebuilt.snapshot() == snap
-
-    def test_rebuilt_instruments_are_live(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_test_total", labelnames=("tier",)).labels(
-            tier="result"
-        ).inc(5)
-        rebuilt = MetricsRegistry.from_snapshot(roundtrip(registry.snapshot()))
-        rebuilt.counter("repro_test_total", labelnames=("tier",)).labels(
-            tier="result"
-        ).inc()
-        samples = rebuilt.snapshot()["metrics"]["repro_test_total"]["samples"]
-        assert samples["tier=result"] == 6.0
-
-    def test_multi_label_series(self):
-        registry = MetricsRegistry()
-        c = registry.counter(
-            "repro_test_multi_total", labelnames=("stage", "status")
-        )
-        c.labels(stage="generate", status="ok").inc()
-        c.labels(stage="refine", status="failed").inc(4)
-        snap = registry.snapshot()
-        assert MetricsRegistry.from_snapshot(roundtrip(snap)).snapshot() == snap
-
-    def test_collectors_round_trip_flat(self):
-        registry = MetricsRegistry()
-        registry.register_collector(
-            "stats", lambda: {"nested": {"hits": 3}, "state": "closed"}
-        )
-        snap = registry.snapshot()
-        assert MetricsRegistry.from_snapshot(roundtrip(snap)).snapshot() == snap
-
-
 class TestEngineSnapshotsSerializable:
     def test_live_engine_health_and_metrics_are_json_ready(
         self, tiny_benchmark, tiny_pipeline
     ):
-        # The exact payloads a shard worker ships at shutdown must be
-        # JSON-serializable and rehydrate to an identical snapshot.
+        # The payload a shard worker ships at shutdown (its metrics
+        # snapshot, whose serving section carries health) must be
+        # JSON-serializable and come back unchanged.
         metrics = MetricsRegistry()
         engine = ServingEngine(tiny_pipeline, workers=1, metrics=metrics)
         with engine:
             engine.run(tiny_benchmark.dev[:3])
             health_snap = engine.health.snapshot()
             metrics_snap = metrics.snapshot()
-        rebuilt_health = HealthMonitor.from_snapshot(roundtrip(health_snap))
-        assert rebuilt_health.snapshot() == health_snap
-        rebuilt_metrics = MetricsRegistry.from_snapshot(roundtrip(metrics_snap))
-        assert rebuilt_metrics.snapshot() == metrics_snap
+        assert roundtrip(health_snap) == health_snap
+        assert roundtrip(metrics_snap) == metrics_snap

@@ -90,10 +90,8 @@ class TestHeader:
              RunSpec(candidates=5, distinct=6, requests=12, routing=True)),
             (SEGMENT_HEADER,
              RunSpec(candidates=3, distinct=8, requests=14, pool="spread")),
-            ({**SEGMENT_HEADER, "livedata": True, "schema_epochs": {"a": 2}},
-             RunSpec(candidates=3, distinct=8, requests=14, pool="spread")),
         ],
-        ids=["plain", "async-no-cache", "routed", "segment", "livedata-segment"],
+        ids=["plain", "async-no-cache", "routed", "segment"],
     )
     def test_headers_written_before_the_spec_load(self, header, expected):
         assert RunSpec.from_header(header) == expected
@@ -106,8 +104,12 @@ class TestHeader:
             ({"routing_config": {**ROUTED_HEADER["routing_config"],
                                  "fast_max": 0.5}}, "routing_config"),
             ({"fault_plan": {"timeout": 0.4}}, "fault_plan"),
+            # nothing rebuilds a live catalog for a cluster segment
+            ({"livedata": True, "schema_epochs": {"a": 2}},
+             "livedata, schema_epochs"),
         ],
-        ids=["skill-profile", "cache-size", "routing-config", "unknown-key"],
+        ids=["skill-profile", "cache-size", "routing-config", "unknown-key",
+             "livedata-segment"],
     )
     def test_headers_it_cannot_rebuild_are_refused(self, edit, message):
         with pytest.raises(SpecError, match=message):
